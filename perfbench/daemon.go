@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	"mochy/api"
@@ -21,6 +20,8 @@ type daemon struct {
 	http *http.Server
 	url  string
 	done chan error
+	// transports are the clients' connection pools, closed on stop.
+	transports []*http.Transport
 }
 
 // startDaemon serves srv on 127.0.0.1 at an ephemeral port.
@@ -44,17 +45,22 @@ func startDaemon(srv *server.Server) (*daemon, error) {
 // keeps up to two keep-alive connections.
 func (d *daemon) newClient() *client.Client {
 	tr := &http.Transport{MaxIdleConnsPerHost: 2, DisableCompression: true}
+	d.transports = append(d.transports, tr)
 	return client.New(d.url, client.WithHTTPClient(&http.Client{Transport: tr}))
 }
 
-// stop drains the HTTP server, waits for its serve loop to return, then
-// closes the mochyd engine (which flushes the store when one is attached).
+// stop drains the HTTP server, waits for its serve loop to return, closes
+// the clients' idle connections, then closes the mochyd engine (which
+// flushes the store when one is attached).
 func (d *daemon) stop() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	herr := d.http.Shutdown(ctx)
 	if err := <-d.done; err != nil && !errors.Is(err, http.ErrServerClosed) && herr == nil {
 		herr = err
+	}
+	for _, tr := range d.transports {
+		tr.CloseIdleConnections()
 	}
 	if err := d.srv.Close(); err != nil {
 		return fmt.Errorf("close daemon: %w", err)
@@ -76,8 +82,8 @@ func scrape(ctx context.Context, c *client.Client) (*api.MetricsSnapshot, error)
 
 // daemonLayers fills the per-layer metrics serve and ingest share — HTTP
 // requests, cache hits and jobs per operation, flight-recorder spans,
-// tracing overhead on the main class, Go allocation and GC, the harness's
-// own self time — and joins the daemon's retained traces to the
+// tracing overhead on the main class, Go allocation and GC — notes the
+// self time of each span name, and joins the daemon's retained traces to the
 // benchmark's operations. It returns the benchmark's spans.
 func daemonLayers(ctx context.Context, c *client.Client, before, after *api.MetricsSnapshot, lr *loadResult, mainClass int, allocBytes uint64, gcCycles uint32, tr *tracer, out *outcome) ([]span, error) {
 	m := out.metrics
@@ -94,11 +100,7 @@ func daemonLayers(ctx context.Context, c *client.Client, before, after *api.Metr
 	m["go.alloc_bytes_per_op"] = float64(allocBytes) / done
 	m["go.gc_cycles_per_kop"] = float64(gcCycles) / done * 1000
 	spans := tr.snapshot()
-	for name, v := range selfPerOp(spans, out) {
-		if strings.HasPrefix(name, "op.") {
-			m["harness.self_ms_per_op"] += v
-		}
-	}
+	selfPerOp(spans, out)
 	return spans, joinDaemonTraces(ctx, c, out)
 }
 

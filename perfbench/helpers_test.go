@@ -11,6 +11,9 @@ import (
 
 	"mochy/api"
 	"mochy/internal/generator"
+	"mochy/internal/hypergraph"
+	counting "mochy/internal/mochy"
+	"mochy/internal/projection"
 )
 
 func TestTailQuantile(t *testing.T) {
@@ -143,7 +146,7 @@ func TestSeedDeterminism(t *testing.T) {
 		return b.String()
 	}
 	edges := func(seed int64) string {
-		g := newEdgeGen(seed, ingestNodes)
+		g := newEdgeGen(seed, ingestNodes, 0, 1)
 		var b strings.Builder
 		for i := 0; i < 200; i++ {
 			fmt.Fprint(&b, g.next())
@@ -174,11 +177,13 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
+// TestEdgeGenUnique checks that the generators of the parts of one edge
+// space never return an edge twice, within a part or across parts.
 func TestEdgeGenUnique(t *testing.T) {
-	g := newEdgeGen(3, 500)
+	gens := []*edgeGen{newEdgeGen(3, 500, 0, 2), newEdgeGen(4, 500, 1, 2)}
 	seen := make(map[string]bool)
 	for i := 0; i < 5000; i++ {
-		e := g.next()
+		e := gens[i%2].next()
 		if len(e) < 2 || len(e) > 6 {
 			t.Fatalf("edge %v has size %d, want 2..6", e, len(e))
 		}
@@ -192,6 +197,50 @@ func TestEdgeGenUnique(t *testing.T) {
 			t.Fatalf("edge %v returned twice", e)
 		}
 		seen[key] = true
+	}
+}
+
+// TestLiveSizeOK checks the read check of the shared live graph: the other
+// caller holds callerEdges ± 1 edges, its in-flight mutation included.
+func TestLiveSizeOK(t *testing.T) {
+	mine := callerEdges - 1
+	for _, c := range []struct {
+		edges int
+		ok    bool
+	}{
+		{mine + callerEdges, true},
+		{mine + callerEdges - 1, true},
+		{mine + callerEdges + 1, true},
+		{mine + callerEdges - 2, false},
+		{mine + callerEdges + 2, false},
+		{mine, false},
+	} {
+		if got := liveSizeOK(c.edges, mine); got != c.ok {
+			t.Errorf("liveSizeOK(%d, %d) = %v, want %v", c.edges, mine, got, c.ok)
+		}
+	}
+}
+
+// TestReplayCounterMapsIDs replays a merged log whose acknowledgement order
+// differs from the order the daemon assigned ids in: the second insert was
+// acknowledged first, and its id is the one deleted. Replayed with the
+// daemon's ids, the delete would remove the wrong edge.
+func TestReplayCounterMapsIDs(t *testing.T) {
+	a, b, c, d := []int32{0, 1, 2}, []int32{1, 2, 3}, []int32{2, 3, 4}, []int32{0, 4, 5}
+	log := []mutation{
+		{insert: true, nodes: b, id: 1, seq: 1},
+		{insert: true, nodes: a, id: 0, seq: 2},
+		{id: 1, seq: 3},
+		{insert: true, nodes: c, id: 2, seq: 4},
+		{insert: true, nodes: d, id: 3, seq: 5},
+	}
+	g := hypergraph.FromEdges(6, [][]int32{a, c, d})
+	want := counting.CountExact(g, projection.Build(g), 1)
+	if _, _, err := replayCounter(log, 0, want[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := replayCounter(log[:4], 0, want[:]); err == nil {
+		t.Error("replayCounter accepted counts the log does not reach")
 	}
 }
 

@@ -26,10 +26,12 @@ import (
 
 // The ingest workload is the daemon's write path with durability: a store
 // data dir on local disk, WAL group commit with fsync before every ack, and
-// a fixed automatic-checkpoint threshold. Each caller owns one live graph
-// and keeps it near a fixed size with balanced single-edge inserts (always
-// fresh, never duplicates) and deletes (always of live ids), beside a small
-// share of whole-graph binary uploads and a share of live-count reads.
+// a fixed automatic-checkpoint threshold. The callers share one live graph,
+// so their concurrent mutations share the WAL's fsyncs (group commit). Each
+// keeps its own share of the graph near a fixed size with balanced
+// single-edge inserts (always fresh, never duplicates) and deletes (always
+// of ids it inserted and still holds live), beside a small share of
+// whole-graph binary uploads and a share of live-count reads.
 
 const (
 	ingestMutate = iota
@@ -40,10 +42,14 @@ const (
 var ingestClasses = []string{"mutate", "read", "upload"}
 
 const (
-	// ingestLiveEdges is each live graph's size, held steady so the cost
-	// of one mutation does not drift over a run.
+	// ingestLive is the shared live graph.
+	ingestLive = "live"
+	// ingestLiveEdges is the live graph's size, held steady so the cost
+	// of one mutation does not drift over a run; each caller holds its
+	// share, callerEdges.
 	ingestLiveEdges = 2000
-	// ingestNodes is the live graphs' node universe.
+	callerEdges     = ingestLiveEdges / loadWorkers
+	// ingestNodes is the live graph's node universe.
 	ingestNodes = 4000
 	// readShare and uploadShare split the op mix; the rest are mutations.
 	readShare   = 0.2
@@ -54,7 +60,7 @@ const (
 	uploadPayloads = 4
 	// checkpointWALBytes is the automatic checkpoint threshold, sized so
 	// several checkpoints complete in every run.
-	checkpointWALBytes = 192 << 10
+	checkpointWALBytes = 128 << 10
 )
 
 // ingestOp is one planned operation. Its random draws are fixed by the plan;
@@ -83,19 +89,22 @@ func ingestPlan(seed int64, caller int) func() ingestOp {
 }
 
 // mutation is one acknowledged live-graph change, kept for the replays
-// that check durability and time the incremental counter.
+// that check durability and time the incremental counter. seq orders the
+// acknowledgements of all callers: a delete is acknowledged after the
+// insert of its id, so the merged log in seq order is a valid history.
 type mutation struct {
 	insert bool
 	nodes  []int32
 	id     int32
+	seq    int64
 }
 
-// ingestWorker is one caller: its live graph, the model of what the daemon
-// acknowledged, and the mutation log.
+// ingestWorker is one caller: its share of the live graph, the model of
+// what the daemon acknowledged for it, and its mutation log.
 type ingestWorker struct {
 	st      *ingestState
+	idx     int
 	c       *client.Client
-	name    string
 	plan    func() ingestOp
 	gen     *edgeGen
 	live    []int32
@@ -111,7 +120,9 @@ type ingestState struct {
 	d        *daemon
 	payloads []*hypergraph.Hypergraph
 	workers  []*ingestWorker
-	wrong    atomic.Int64
+	// acks numbers acknowledged mutations across callers.
+	acks  atomic.Int64
+	wrong atomic.Int64
 	// segmentBytes is the store's segment growth per fresh upload,
 	// measured in setup.
 	segmentBytes float64
@@ -141,8 +152,8 @@ func openDaemon(dir string) (*daemon, error) {
 }
 
 // setupIngest opens a daemon on a fresh data dir, measures segment bytes
-// per upload, seeds each caller's live graph and runs a short warm-up. On
-// error it tears the round down.
+// per upload, seeds each caller's share of the live graph and runs a short
+// warm-up. On error it tears the round down.
 func setupIngest(ctx context.Context, seed int64, dir string) (_ *ingestState, err error) {
 	st := &ingestState{dir: dir}
 	defer func() {
@@ -175,9 +186,9 @@ func setupIngest(ctx context.Context, seed int64, dir string) (_ *ingestState, e
 
 	for i := 0; i < loadWorkers; i++ {
 		w := &ingestWorker{
-			st: st, c: d.newClient(), name: fmt.Sprintf("live-%d", i),
+			st: st, idx: i, c: d.newClient(),
 			plan:    ingestPlan(seed, i),
-			gen:     newEdgeGen(subSeed(seed, streamEdges, int64(i)), ingestNodes),
+			gen:     newEdgeGen(subSeed(seed, streamEdges, int64(i)), ingestNodes, i, loadWorkers),
 			model:   make(map[int32][]int32),
 			uploads: make(map[string]int),
 		}
@@ -193,17 +204,17 @@ func setupIngest(ctx context.Context, seed int64, dir string) (_ *ingestState, e
 	return st, nil
 }
 
-// seedGraph fills the caller's live graph to ingestLiveEdges in batches.
+// seedGraph inserts the caller's share of the live graph in batches.
 func (w *ingestWorker) seedGraph(ctx context.Context) error {
 	const batch = 250
-	for len(w.live) < ingestLiveEdges {
-		edges := make([][]int32, batch)
+	for len(w.live) < callerEdges {
+		edges := make([][]int32, min(batch, callerEdges-len(w.live)))
 		for i := range edges {
 			edges[i] = w.gen.next()
 		}
-		res, err := w.c.InsertEdges(ctx, w.name, edges)
+		res, err := w.c.InsertEdges(ctx, ingestLive, edges)
 		if err != nil {
-			return fmt.Errorf("seed %s: %w", w.name, err)
+			return fmt.Errorf("seed caller %d: %w", w.idx, err)
 		}
 		for i, r := range res.Results {
 			w.applied(mutation{insert: true, nodes: edges[i], id: r.ID})
@@ -214,6 +225,7 @@ func (w *ingestWorker) seedGraph(ctx context.Context) error {
 
 // applied records an acknowledged mutation in the model and the log.
 func (w *ingestWorker) applied(m mutation) {
+	m.seq = w.st.acks.Add(1)
 	w.log = append(w.log, m)
 	if m.insert {
 		w.live = append(w.live, m.id)
@@ -247,27 +259,37 @@ func (w *ingestWorker) next() (int, func(context.Context, opCtx) error) {
 			return w.upload(ctx, o, op.upload)
 		case ingestRead:
 			sp := o.span("client.live_counts")
-			lc, err := w.c.LiveCounts(ctx, w.name)
+			lc, err := w.c.LiveCounts(ctx, ingestLive)
 			sp.end()
 			if err != nil {
 				return err
 			}
-			if lc.Edges != len(w.live) {
+			if !liveSizeOK(lc.Edges, len(w.live)) {
 				w.st.wrong.Add(1)
 			}
 			return nil
 		}
-		if len(w.live) < ingestLiveEdges || len(w.live) == ingestLiveEdges && op.coin {
+		if len(w.live) < callerEdges || len(w.live) == callerEdges && op.coin {
 			return w.insert(ctx, o)
 		}
 		return w.delete(ctx, o, op.pick)
 	}
 }
 
+// liveSizeOK reports whether a caller that holds mine edges of the live
+// graph, and has no mutation in flight, may read edges in all. Every other
+// caller holds callerEdges ± 1, its in-flight mutation included: it
+// inserts below callerEdges, deletes above, and flips a coin at it.
+func liveSizeOK(edges, mine int) bool {
+	others := loadWorkers - 1
+	d := edges - mine - others*callerEdges
+	return -others <= d && d <= others
+}
+
 func (w *ingestWorker) insert(ctx context.Context, o opCtx) error {
 	nodes := w.gen.next()
 	sp := o.span("client.insert")
-	res, err := w.c.InsertEdges(ctx, w.name, [][]int32{nodes})
+	res, err := w.c.InsertEdges(ctx, ingestLive, [][]int32{nodes})
 	sp.end()
 	if err != nil {
 		return err
@@ -280,7 +302,7 @@ func (w *ingestWorker) delete(ctx context.Context, o opCtx, pick int64) error {
 	i := int(pick % int64(len(w.live)))
 	id := w.live[i]
 	sp := o.span("client.delete")
-	_, err := w.c.DeleteEdge(ctx, w.name, id)
+	_, err := w.c.DeleteEdge(ctx, ingestLive, id)
 	sp.end()
 	if err != nil {
 		return err
@@ -292,7 +314,7 @@ func (w *ingestWorker) delete(ctx context.Context, o opCtx, pick int64) error {
 }
 
 func (w *ingestWorker) upload(ctx context.Context, o opCtx, p int) error {
-	name := fmt.Sprintf("up-%s-%d", w.name, w.upSeq%uploadNames)
+	name := fmt.Sprintf("up-%d-%d", w.idx, w.upSeq%uploadNames)
 	w.upSeq++
 	g := w.st.payloads[p]
 	sp := o.span("client.upload")
@@ -332,10 +354,7 @@ func runIngest(cfg runConfig) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	logStart := make([]int, len(st.workers))
-	for i, w := range st.workers {
-		logStart[i] = len(w.log)
-	}
+	windowSeq := st.acks.Load()
 	alloc0, gc0 := memCounters()
 	lr := runLoad(ctx, st.loadWorkers(), cfg.window(), 0, tr, ingestClasses)
 	alloc1, gc1 := memCounters()
@@ -405,15 +424,11 @@ func runIngest(cfg runConfig) (*outcome, error) {
 	m["store.checkpoint_ms"] = histDelta(before, after, "mochyd_store_checkpoint_seconds", "")[""].mean() * 1000
 	m["store.segment_bytes_per_upload"] = st.segmentBytes
 
-	for i, w := range st.workers {
-		ins, del, err := replayCounter(w.log, logStart[i], final[i].Counts)
-		if err != nil {
-			return nil, err
-		}
-		m["dynamic.insert_us"] += ins / float64(len(st.workers))
-		m["dynamic.delete_us"] += del / float64(len(st.workers))
+	log := st.mergedLog()
+	if m["dynamic.insert_us"], m["dynamic.delete_us"], err = replayCounter(log, windowSeq, final.Counts); err != nil {
+		return nil, err
 	}
-	if m["store.wal_bytes_per_mutation"], err = replayWAL(filepath.Join(cfg.workDir, "wal-replay"), st.workers[0].log); err != nil {
+	if m["store.wal_bytes_per_mutation"], err = replayWAL(filepath.Join(cfg.workDir, "wal-replay"), log); err != nil {
 		return nil, err
 	}
 	if m["hypergraph.read_binary_ms"], err = timeReadBinary(st.payloads); err != nil {
@@ -422,38 +437,34 @@ func runIngest(cfg runConfig) (*outcome, error) {
 	return out, writeSpans(cfg.spansPath("ingest"), spans)
 }
 
-// verify checks each live graph after the window: its maintained counts
+// verify checks the live graph after the window: its maintained counts
 // must equal an exact recount of its edges as downloaded from the daemon,
 // and those edges must be exactly the acknowledged ones. It returns the
 // live counts it checked.
-func (st *ingestState) verify(ctx context.Context, out *outcome) ([]api.LiveCounts, error) {
+func (st *ingestState) verify(ctx context.Context, out *outcome) (api.LiveCounts, error) {
 	c := st.d.newClient()
-	final := make([]api.LiveCounts, len(st.workers))
-	for i, w := range st.workers {
-		lc, err := c.LiveCounts(ctx, w.name)
-		if err != nil {
-			return nil, fmt.Errorf("verify %s: %w", w.name, err)
-		}
-		final[i] = lc
-		snap := "snap-" + w.name
-		if _, err := c.Snapshot(ctx, w.name, snap); err != nil {
-			return nil, fmt.Errorf("verify %s: snapshot: %w", w.name, err)
-		}
-		g, err := c.DownloadGraph(ctx, snap)
-		if err != nil {
-			return nil, fmt.Errorf("verify %s: download: %w", w.name, err)
-		}
-		out.check(sameEdges(graphEdges(g), w.modelEdges()), "ingest: %s holds other edges than were acknowledged", w.name)
-		recount := counting.CountExact(g, projection.Build(g), kernelWorkers)
-		out.check(sameCounts(lc.Counts, recount[:]), "ingest: %s maintained counts differ from an exact recount", w.name)
+	lc, err := c.LiveCounts(ctx, ingestLive)
+	if err != nil {
+		return lc, fmt.Errorf("verify: %w", err)
 	}
-	return final, nil
+	const snap = "snap-" + ingestLive
+	if _, err := c.Snapshot(ctx, ingestLive, snap); err != nil {
+		return lc, fmt.Errorf("verify: snapshot: %w", err)
+	}
+	g, err := c.DownloadGraph(ctx, snap)
+	if err != nil {
+		return lc, fmt.Errorf("verify: download: %w", err)
+	}
+	out.check(sameEdges(graphEdges(g), st.modelEdges()), "ingest: the live graph holds other edges than were acknowledged")
+	recount := counting.CountExact(g, projection.Build(g), kernelWorkers)
+	out.check(sameCounts(lc.Counts, recount[:]), "ingest: the live graph's maintained counts differ from an exact recount")
+	return lc, nil
 }
 
 // verifyRestart closes the daemon, opens a new one on the same data dir and
 // checks that every acknowledged mutation and upload survived: the same
 // live ids, the same counts, and the last uploaded graph under each name.
-func (st *ingestState) verifyRestart(ctx context.Context, final []api.LiveCounts, out *outcome) error {
+func (st *ingestState) verifyRestart(ctx context.Context, final api.LiveCounts, out *outcome) error {
 	if err := st.d.stop(); err != nil {
 		st.d = nil
 		return err
@@ -465,17 +476,21 @@ func (st *ingestState) verifyRestart(ctx context.Context, final []api.LiveCounts
 	}
 	st.d = d
 	c := d.newClient()
-	for i, w := range st.workers {
-		lc, err := c.LiveCounts(ctx, w.name)
-		if err != nil {
-			return fmt.Errorf("restart %s: %w", w.name, err)
-		}
-		out.check(lc.Edges == final[i].Edges && sameCounts(lc.Counts, final[i].Counts), "ingest: %s counts changed across a restart", w.name)
-		ids, err := c.LiveEdges(ctx, w.name)
-		if err != nil {
-			return fmt.Errorf("restart %s: %w", w.name, err)
-		}
-		out.check(sameIDs(ids.IDs, w.live), "ingest: %s live edge ids changed across a restart", w.name)
+	lc, err := c.LiveCounts(ctx, ingestLive)
+	if err != nil {
+		return fmt.Errorf("restart: %w", err)
+	}
+	out.check(lc.Edges == final.Edges && sameCounts(lc.Counts, final.Counts), "ingest: the live graph's counts changed across a restart")
+	ids, err := c.LiveEdges(ctx, ingestLive)
+	if err != nil {
+		return fmt.Errorf("restart: %w", err)
+	}
+	var live []int32
+	for _, w := range st.workers {
+		live = append(live, w.live...)
+	}
+	out.check(sameIDs(ids.IDs, live), "ingest: the live graph's edge ids changed across a restart")
+	for _, w := range st.workers {
 		for name, p := range w.uploads {
 			g, err := c.DownloadGraph(ctx, name)
 			if err != nil {
@@ -487,12 +502,25 @@ func (st *ingestState) verifyRestart(ctx context.Context, final []api.LiveCounts
 	return nil
 }
 
-func (w *ingestWorker) modelEdges() [][]int32 {
-	out := make([][]int32, 0, len(w.model))
-	for _, e := range w.model {
-		out = append(out, e)
+// modelEdges returns the edges every caller holds acknowledged.
+func (st *ingestState) modelEdges() [][]int32 {
+	var out [][]int32
+	for _, w := range st.workers {
+		for _, e := range w.model {
+			out = append(out, e)
+		}
 	}
 	return out
+}
+
+// mergedLog returns every caller's mutations in acknowledgement order.
+func (st *ingestState) mergedLog() []mutation {
+	var log []mutation
+	for _, w := range st.workers {
+		log = append(log, w.log...)
+	}
+	sort.Slice(log, func(i, j int) bool { return log[i].seq < log[j].seq })
+	return log
 }
 
 func sameIDs(a, b []int32) bool {
@@ -510,29 +538,30 @@ func sameIDs(a, b []int32) bool {
 	return true
 }
 
-// replayCounter replays a caller's mutation log on a standalone incremental
-// counter and returns the mean insert and delete times of the entries from
-// `from` on (the measured window). The counter must assign the ids the
-// daemon did and end at the daemon's counts.
-func replayCounter(log []mutation, from int, want []float64) (insertUS, deleteUS float64, err error) {
+// replayCounter replays the merged mutation log on a standalone incremental
+// counter and returns the mean insert and delete times of the entries
+// acknowledged after ack number from (the measured window). Concurrent
+// callers' inserts may reach the daemon in another order than their
+// acknowledgements, so the replay maps the daemon's ids to its own. The
+// counter must end at the daemon's counts.
+func replayCounter(log []mutation, from int64, want []float64) (insertUS, deleteUS float64, err error) {
 	c := dynamic.New()
+	ids := make(map[int32]int32)
 	var ins, del time.Duration
 	var nIns, nDel int
-	for i, m := range log {
+	for _, m := range log {
 		t0 := time.Now()
 		if m.insert {
 			id, err := c.Insert(m.nodes)
 			if err != nil {
 				return 0, 0, fmt.Errorf("replay insert: %w", err)
 			}
-			if id != m.id {
-				return 0, 0, fmt.Errorf("replay assigned id %d, daemon %d", id, m.id)
-			}
-		} else if err := c.Delete(m.id); err != nil {
+			ids[m.id] = id
+		} else if err := c.Delete(ids[m.id]); err != nil {
 			return 0, 0, fmt.Errorf("replay delete: %w", err)
 		}
 		d := time.Since(t0)
-		if i < from {
+		if m.seq <= from {
 			continue
 		}
 		if m.insert {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 
@@ -47,28 +48,35 @@ func domainGraph(seed int64, idx int64, d generator.Domain, nodes, draws int) *h
 // nodes drawn from a Zipf distribution so popular nodes make hyperedges
 // overlap the way real ones do. The distribution's head is flattened
 // (zipfV) so that no hub makes single mutations cost milliseconds of
-// incremental counting. A live graph fed only from one edgeGen can
-// never see a duplicate insert.
+// incremental counting. Generators of parts 0..parts-1 split the edge space
+// by a hash of the edge, so callers that share a live graph, one generator
+// each, can never send a duplicate insert.
 type edgeGen struct {
-	rng  *rand.Rand
-	zipf *rand.Zipf
-	seen map[string]struct{}
-	key  []byte
+	rng         *rand.Rand
+	zipf        *rand.Zipf
+	part, parts uint32
+	seen        map[string]struct{}
+	key         []byte
 }
 
 // zipfV offsets edgeGen's Zipf ranks: P(k) ∝ (zipfV+k)^-1.1.
 const zipfV = 50
 
-func newEdgeGen(seed int64, nodes int) *edgeGen {
+// newEdgeGen returns the generator of one part of the edge space: the
+// edges whose hash is part modulo parts.
+func newEdgeGen(seed int64, nodes, part, parts int) *edgeGen {
 	rng := rand.New(rand.NewSource(seed))
 	return &edgeGen{
-		rng:  rng,
-		zipf: rand.NewZipf(rng, 1.1, zipfV, uint64(nodes-1)),
-		seen: make(map[string]struct{}),
+		rng:   rng,
+		zipf:  rand.NewZipf(rng, 1.1, zipfV, uint64(nodes-1)),
+		part:  uint32(part),
+		parts: uint32(parts),
+		seen:  make(map[string]struct{}),
 	}
 }
 
-// next returns a fresh hyperedge, sorted, never returned before.
+// next returns a fresh hyperedge of the generator's part, sorted, never
+// returned before.
 func (g *edgeGen) next() []int32 {
 	for {
 		size := 2 + g.rng.Intn(5)
@@ -85,6 +93,11 @@ func (g *edgeGen) next() []int32 {
 			g.key = append(g.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 		}
 		if _, dup := g.seen[string(g.key)]; dup {
+			continue
+		}
+		h := fnv.New32a()
+		h.Write(g.key)
+		if h.Sum32()%g.parts != g.part {
 			continue
 		}
 		g.seen[string(g.key)] = struct{}{}

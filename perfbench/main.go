@@ -48,7 +48,7 @@ const (
 var workloads = []workloadDef{
 	{"profile", "the paper's task through the library: exact and MoCHy-A+ characteristic profiles of two domains; the counting kernel does almost all the work", runProfile},
 	{"serve", "daemon read path: cached exact counts and metadata reads over loopback; router, handlers, cache, jobs and JSON are all the time, the kernel none", runServe},
-	{"ingest", "daemon write path with durability: single-edge inserts and deletes acked after WAL fsync, automatic checkpoints, binary uploads, live-count reads", runIngest},
+	{"ingest", "daemon write path with durability: two callers' single-edge inserts and deletes on one live graph, acked after WAL fsync (group commit), automatic checkpoints, uploads, live-count reads", runIngest},
 }
 
 // endToEnd are the metrics a user sees, reported by every workload with
@@ -105,7 +105,6 @@ var perLayer = []metricDef{
 	{"client.transport_ms.upload", "ms", "lower", 0},
 	{"obs.spans_per_op", "count", "lower", 0},
 	{"obs.trace_overhead", "ratio", "lower", 0},
-	{"harness.self_ms_per_op", "ms", "lower", 0},
 	{"go.alloc_bytes_per_op", "B", "lower", 0},
 	{"go.gc_cycles_per_kop", "count", "lower", 0},
 	{"dynamic.insert_us", "us", "lower", 0},

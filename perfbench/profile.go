@@ -265,7 +265,6 @@ func runProfile(cfg runConfig) (*outcome, error) {
 		m["projection.build_ms"] = self["projection.build"]
 		m["nullmodel.generate_ms"] = self["nullmodel.generate"]
 		m["cp.compute_ms"] = self["cp.compute"]
-		m["harness.self_ms_per_op"] = self["op.profile"]
 		// Kernel counters are per operation over all operations.
 		m["mochy.enumerate_ms"] = ms(st.enumerate) / done
 		m["mochy.imbalance"] = ratio(st.imbalance, float64(st.kernelRuns))

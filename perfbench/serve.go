@@ -52,12 +52,12 @@ var serveGraphs = []struct {
 	nodes  int
 	draws  int
 }{
-	{"coauth", generator.Coauthorship, 1500, 2500},
-	{"contact", generator.Contact, 120, 900},
-	{"email", generator.Email, 80, 700},
+	{"coauth", generator.Coauthorship, 1500, 5000},
+	{"contact", generator.Contact, 120, 2000},
+	{"email", generator.Email, 80, 1500},
 }
 
-const servePairs = 400_000
+const servePairs = 1_200_000
 
 const serveLiveEdges = 500
 
@@ -67,6 +67,9 @@ type serveState struct {
 	graphs []*hypergraph.Hypergraph
 	counts [][]float64 // setup exact counts per graph
 	live   api.LiveCounts
+	// callers are the closed-loop callers, built once so the window
+	// reuses the connections the warm-up opened.
+	callers []worker
 	// wrong counts results that differ from what set-up established.
 	wrong atomic.Int64
 }
@@ -103,7 +106,7 @@ func setupServe(ctx context.Context, seed int64) (_ *serveState, err error) {
 		st.graphs = append(st.graphs, g)
 		st.counts = append(st.counts, res.Counts)
 	}
-	gen := newEdgeGen(subSeed(seed, streamEdges, 0), 2000)
+	gen := newEdgeGen(subSeed(seed, streamEdges, 0), 2000, 0, 1)
 	edges := make([][]int32, serveLiveEdges)
 	for i := range edges {
 		edges[i] = gen.next()
@@ -114,8 +117,10 @@ func setupServe(ctx context.Context, seed int64) (_ *serveState, err error) {
 	if st.live, err = c.LiveCounts(ctx, "live"); err != nil {
 		return nil, fmt.Errorf("live counts: %w", err)
 	}
-	// A short warm-up fills connection pools and lazily built paths.
-	lr := runLoad(ctx, st.workers(seed), 0, 200, nil, serveClasses)
+	// A short warm-up fills connection pools and lazily built paths. The
+	// window continues each caller's op sequence where it stops.
+	st.callers = st.workers(seed)
+	lr := runLoad(ctx, st.callers, 0, 200, nil, serveClasses)
 	if lr.failed > 0 {
 		return nil, fmt.Errorf("warm-up: %v", lr.firstErr)
 	}
@@ -209,7 +214,7 @@ func runServe(cfg runConfig) (*outcome, error) {
 		return nil, err
 	}
 	alloc0, gc0 := memCounters()
-	lr := runLoad(ctx, st.workers(cfg.seed), cfg.window(), 0, tr, serveClasses)
+	lr := runLoad(ctx, st.callers, cfg.window(), 0, tr, serveClasses)
 	alloc1, gc1 := memCounters()
 	rss := peakRSSMB()
 	after, err := scrape(ctx, admin)

@@ -1,12 +1,13 @@
 package main
 
 import (
+	"runtime"
 	"time"
 )
 
 // setupRounds is how many times a run sets its workload up. setup_s is the
 // median, so one slow round (host steal, a cold page cache) does not move it.
-const setupRounds = 5
+const setupRounds = 7
 
 // setupRepeated sets a workload up setupRounds times, tearing down every
 // round but the last, and returns the last round's state with every
@@ -16,7 +17,9 @@ const setupRounds = 5
 func setupRepeated[T any](setup func(round int) (T, error), teardown func(T)) (T, []float64, error) {
 	var state T
 	times := make([]float64, 0, setupRounds)
+	goroutines := runtime.NumGoroutine()
 	for r := 0; r < setupRounds; r++ {
+		settle(goroutines)
 		start := time.Now()
 		s, err := setup(r)
 		if err != nil {
@@ -30,4 +33,15 @@ func setupRepeated[T any](setup func(round int) (T, error), teardown func(T)) (T
 		state = s
 	}
 	return state, times, nil
+}
+
+// settle waits, for at most two seconds, until the goroutines a torn-down
+// round left (connection loops, daemon workers) have exited, then collects
+// its garbage, so every round starts from the state the first one did.
+func settle(goroutines int) {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
 }
