@@ -28,9 +28,6 @@
 //	POST   /v1/graphs/{name}/snapshot    SnapshotRequest -> SnapshotResult
 //	POST   /v1/streams/{name}            NDJSON hyperedge ingest -> IngestResult
 //	GET    /v1/streams/{name}            IngestResult (estimator state)
-//
-// The pre-v1 unversioned routes remain mounted as deprecated aliases; they
-// answer with a "Deprecation: true" header and a "Link" to their successor.
 package api
 
 import (
@@ -156,8 +153,7 @@ type CountRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// CountResult is the result payload of a count job (and the body of the
-// legacy synchronous count endpoint).
+// CountResult is the result payload of a count job.
 type CountResult struct {
 	Graph        string    `json:"graph"`
 	Algorithm    string    `json:"algorithm"`
@@ -179,8 +175,7 @@ type ProfileRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// ProfileResult is the result payload of a profile job (and the body of the
-// legacy synchronous profile endpoint).
+// ProfileResult is the result payload of a profile job.
 type ProfileResult struct {
 	Graph          string    `json:"graph"`
 	Randomizations int       `json:"randomizations"`

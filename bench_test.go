@@ -577,10 +577,11 @@ func BenchmarkMotif4Census(b *testing.B) {
 	}
 }
 
-// BenchmarkServerCount measures mochyd's count endpoint over real HTTP:
-// "miss" re-uploads the graph each iteration so every query runs MoCHy-E
-// cold, "hit" uploads once and serves every query from the LRU result
-// cache. The acceptance bar for the cache is hit ≥ 10× faster than miss.
+// BenchmarkServerCount measures mochyd's count round trip over real HTTP:
+// the job submit plus its events stream up to the result. "miss" re-uploads
+// the graph each iteration so every query runs MoCHy-E cold, "hit" uploads
+// once and serves every query from the LRU result cache. The acceptance bar
+// for the cache is hit ≥ 10× faster than miss.
 func BenchmarkServerCount(b *testing.B) {
 	g := generator.Generate(generator.Config{
 		Domain: generator.Contact, Nodes: 300, Edges: 2000, Seed: 17,
@@ -589,14 +590,19 @@ func BenchmarkServerCount(b *testing.B) {
 	if err := g.Write(&text); err != nil {
 		b.Fatal(err)
 	}
-	loadBody, err := json.Marshal(map[string]string{"name": "bench", "text": text.String()})
+	loadBody, err := json.Marshal(map[string]string{"text": text.String()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	countBody := []byte(`{"algorithm": "exact"}`)
 
-	post := func(b *testing.B, ts *httptest.Server, path string, body []byte) map[string]any {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	do := func(b *testing.B, method, url string, body []byte) (*http.Response, map[string]any) {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -608,7 +614,36 @@ func BenchmarkServerCount(b *testing.B) {
 		if resp.StatusCode >= 300 {
 			b.Fatalf("HTTP %d: %v", resp.StatusCode, v["error"])
 		}
-		return v
+		return resp, v
+	}
+	load := func(b *testing.B, ts *httptest.Server) {
+		do(b, http.MethodPut, ts.URL+"/v1/graphs/bench", loadBody)
+	}
+	// count submits the job and reads its events stream to the result.
+	count := func(b *testing.B, ts *httptest.Server) map[string]any {
+		resp, _ := do(b, http.MethodPost, ts.URL+"/v1/graphs/bench/count", countBody)
+		ev, err := http.Get(ts.URL + resp.Header.Get("Location") + "/events")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ev.Body.Close()
+		dec := json.NewDecoder(ev.Body)
+		for {
+			var e struct {
+				Type   string         `json:"type"`
+				Result map[string]any `json:"result"`
+				Error  string         `json:"error"`
+			}
+			if err := dec.Decode(&e); err != nil {
+				b.Fatal(err)
+			}
+			switch e.Type {
+			case "result":
+				return e.Result
+			case "error":
+				b.Fatalf("count job failed: %s", e.Error)
+			}
+		}
 	}
 
 	b.Run("miss", func(b *testing.B) {
@@ -617,10 +652,10 @@ func BenchmarkServerCount(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			post(b, ts, "/graphs", loadBody) // re-upload bumps the generation: next count is cold
+			load(b, ts) // re-upload bumps the generation: next count is cold
 			b.StartTimer()
-			res := post(b, ts, "/graphs/bench/count", countBody)
-			if res["cached"].(bool) {
+			res := count(b, ts)
+			if res["cached"] == true {
 				b.Fatal("miss benchmark was served from cache")
 			}
 		}
@@ -628,13 +663,13 @@ func BenchmarkServerCount(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		ts := httptest.NewServer(server.New(server.DefaultConfig()))
 		defer ts.Close()
-		post(b, ts, "/graphs", loadBody)
-		warm := post(b, ts, "/graphs/bench/count", countBody)
+		load(b, ts)
+		warm := count(b, ts)
 		total := warm["total"].(float64)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := post(b, ts, "/graphs/bench/count", countBody)
-			if !res["cached"].(bool) {
+			res := count(b, ts)
+			if res["cached"] != true {
 				b.Fatal("hit benchmark missed the cache")
 			}
 			if res["total"].(float64) != total {

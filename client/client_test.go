@@ -454,7 +454,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"mochyd_queue_depth", "mochyd_jobs_inflight", "mochyd_cache_hits",
 		"mochyd_cache_evictions", "mochyd_jobs_done_total",
-		`mochyd_requests_total{route="PUT /v1/graphs/{name}",deprecated="false"} 1`,
+		`mochyd_http_request_duration_seconds_count{route="PUT /v1/graphs/{name}"} 1`,
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q:\n%s", want, m)

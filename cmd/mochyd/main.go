@@ -71,10 +71,6 @@
 //	POST   /v1/graphs/{name}/snapshot    freeze into the immutable registry [{"as": ...}]
 //	POST   /v1/streams/{name}            NDJSON hyperedge ingest (exact + reservoir estimates)
 //	GET    /v1/streams/{name}            reservoir estimator state next to exact counts
-//
-// The pre-v1 unversioned routes (including the synchronous count/profile
-// forms) remain mounted as deprecated aliases; responses carry a
-// "Deprecation: true" header and a "Link" to the /v1 successor.
 package main
 
 import (

@@ -116,7 +116,7 @@ func main() {
 			"mochyd_jobs_done_total",
 			"mochyd_job_duration_seconds_count",
 			"mochyd_kernel_stage_seconds_count",
-			"mochyd_requests_total{route=\"POST /v1/graphs/{name}/count\"",
+			"mochyd_http_request_duration_seconds_count{route=\"POST /v1/graphs/{name}/count\"",
 			"mochyd_http_responses_total{route=\"POST /v1/graphs/{name}/count\"",
 			"mochyd_trace_spans_total",
 		} {

@@ -71,7 +71,7 @@ func BenchmarkCacheContention(b *testing.B) {
 	keys := make([]string, 0, graphs*perGraph)
 	for gi := 0; gi < graphs; gi++ {
 		for k := 0; k < perGraph; k++ {
-			key := fmt.Sprintf("count|g%d#1|edge-sample|s=%d|seed=7|w=1", gi, 100+k)
+			key := fmt.Sprintf("count|g%d#1|edge-sample|s=%d|seed=7", gi, 100+k)
 			c.PutCost(key, k, 0, time.Millisecond)
 			keys = append(keys, key)
 		}
@@ -97,7 +97,7 @@ func BenchmarkCacheContentionMixed(b *testing.B) {
 	keys := make([]string, 0, graphs*perGraph)
 	for gi := 0; gi < graphs; gi++ {
 		for k := 0; k < perGraph; k++ {
-			key := fmt.Sprintf("count|g%d#1|edge-sample|s=%d|seed=7|w=1", gi, 100+k)
+			key := fmt.Sprintf("count|g%d#1|edge-sample|s=%d|seed=7", gi, 100+k)
 			c.PutCost(key, k, 0, time.Millisecond)
 			keys = append(keys, key)
 		}

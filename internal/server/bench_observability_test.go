@@ -1,18 +1,18 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
 // Observability overhead benchmarks: the flight recorder (typed metrics
 // registry, per-route latency histograms, span tracer) sits on every
-// request, so its cost on the hottest path — a cached synchronous count,
-// which does no counting work and is nothing but router + cache lookup +
-// JSON encode — bounds its cost everywhere. Run the traced and untraced
-// variants and compare ns/op; BENCH_obs.json records the deltas.
+// request, so its cost on the hottest path — a cached count job, which does
+// no counting work and is nothing but router + job bookkeeping + cache
+// lookup + JSON encode — bounds its cost everywhere. Run the traced and
+// untraced variants and compare ns/op; BENCH_obs.json records the deltas.
 
 // benchCountServer builds a server with the given trace-buffer setting,
 // loads one graph, and primes the count cache so every benchmark request
@@ -25,17 +25,24 @@ func benchCountServer(b *testing.B, traceBuffer int) *Server {
 	if _, err := s.LoadGraph("g", g); err != nil {
 		b.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, benchCountRequest())
-	if rec.Code != http.StatusOK {
-		b.Fatalf("warmup count: %d %s", rec.Code, rec.Body)
-	}
+	benchCount(b, s)
 	return s
 }
 
-func benchCountRequest() *http.Request {
+// benchCount runs one count end to end through the handler: the submit
+// (202 with a job) plus the job's events stream up to its terminal result.
+func benchCount(b *testing.B, s *Server) {
 	body := `{"algorithm":"exact","workers":1}`
-	return httptest.NewRequest(http.MethodPost, "/graphs/g/count", bytes.NewReader([]byte(body)))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/g/count", strings.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		b.Fatalf("count: %d %s", rec.Code, rec.Body)
+	}
+	ev := httptest.NewRecorder()
+	s.ServeHTTP(ev, httptest.NewRequest(http.MethodGet, rec.Header().Get("Location")+"/events", nil))
+	if ev.Code != http.StatusOK || !strings.Contains(ev.Body.String(), `"type":"result"`) {
+		b.Fatalf("count events: %d %s", ev.Code, ev.Body)
+	}
 }
 
 // BenchmarkObservabilityCachedCount measures the full request path of a
@@ -56,11 +63,7 @@ func BenchmarkObservabilityCachedCount(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, benchCountRequest())
-				if rec.Code != http.StatusOK {
-					b.Fatalf("count: %d", rec.Code)
-				}
+				benchCount(b, s)
 			}
 		})
 	}

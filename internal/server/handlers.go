@@ -26,31 +26,6 @@ const maxQueryBytes = 1 << 20
 // tiny request naming node 2e9 would force a multi-gigabyte allocation.
 const maxGraphNodes = 1 << 24
 
-// loadRequest is the legacy POST /graphs body: a GraphDoc whose Name rides
-// in the body instead of the path.
-type loadRequest = api.GraphDoc
-
-// countRequest is the POST count body. The legacy synchronous endpoint
-// additionally accepts Stream to select NDJSON progress streaming (exact
-// counts only); /v1 moved streaming onto the job events endpoint.
-type countRequest struct {
-	api.CountRequest
-	Stream bool `json:"stream,omitempty"`
-}
-
-// streamResult is the final NDJSON line of a legacy streamed exact count.
-type streamResult struct {
-	Type string `json:"type"` // "result"
-	api.CountResult
-}
-
-// legacyProgressEvent is one NDJSON line of a legacy streamed exact count.
-type legacyProgressEvent struct {
-	Type  string `json:"type"` // "progress"
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-}
-
 func toStats(s hypergraph.Stats) api.Stats {
 	return api.Stats{
 		NumNodes:       s.NumNodes,
@@ -184,34 +159,7 @@ func (s *Server) writeRegistered(w http.ResponseWriter, res api.LoadResult, err 
 	writeJSON(w, http.StatusCreated, res)
 }
 
-// handleLegacyLoad serves the deprecated POST /graphs: a JSON GraphDoc with
-// the name in the body. The v1 successor is PUT /v1/graphs/{name}.
-func (s *Server) handleLegacyLoad(w http.ResponseWriter, r *http.Request, _ params) {
-	var req loadRequest
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "name is required")
-		return
-	}
-	if strings.ContainsRune(req.Name, '/') {
-		writeError(w, http.StatusBadRequest, "name must not contain '/'")
-		return
-	}
-	g, err := buildGraphDoc(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid hypergraph: %v", err)
-		return
-	}
-	res, rerr := s.registerGraph(req.Name, g)
-	s.writeRegistered(w, res, rerr)
-}
-
-// handleStats serves graph statistics (and the legacy GET /graphs/{name},
-// whose v1 successor returns the graph itself).
+// handleStats serves GET /v1/graphs/{name}/stats: graph statistics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, p params) {
 	e, ok := s.registry.Get(p["name"])
 	if !ok {
@@ -221,11 +169,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, p params) {
 	writeJSON(w, http.StatusOK, toStats(e.Stats))
 }
 
-// throttledProgress wraps emit in the shared ~1%-granularity progress
-// throttle used by both the legacy NDJSON stream and the v1 job events:
-// huge graphs must not produce one event per enumeration stride, and
-// progress must never go backwards (the internal mutex makes the decide-
-// and-emit step atomic across worker goroutines).
+// throttledProgress wraps emit in the ~1%-granularity progress throttle
+// behind count job events: huge graphs must not produce one event per
+// enumeration stride, and progress must never go backwards (the internal
+// mutex makes the decide-and-emit step atomic across worker goroutines).
 func throttledProgress(total int, emit func(done, total int)) func(done, total int) {
 	step := total / 100
 	if step < 1 {
@@ -259,118 +206,4 @@ func validateCount(req *api.CountRequest) error {
 			req.Algorithm, algoExact, algoEdge, algoWedge)
 	}
 	return nil
-}
-
-// handleSyncCount serves the deprecated synchronous POST /graphs/{name}/count.
-// The v1 successor returns a job resource instead of blocking.
-func (s *Server) handleSyncCount(w http.ResponseWriter, r *http.Request, p params) {
-	e, ok := s.registry.Get(p["name"])
-	if !ok {
-		writeError(w, http.StatusNotFound, "graph %q not found", p["name"])
-		return
-	}
-	var req countRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if err := validateCount(&req.CountRequest); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.overBudget() {
-		s.writeBackpressure(w)
-		return
-	}
-	workers := s.clampWorkers(req.Workers)
-	if req.Stream && req.Algorithm == algoExact {
-		s.streamCount(w, r, e, workers)
-		return
-	}
-	start := time.Now()
-	c, cached, err := s.count(r.Context(), e, req.Algorithm, req.Samples, req.Seed, workers)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "count failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toCountResult(e.Name, req.Algorithm, c, cached, time.Since(start)))
-}
-
-// streamCount serves a legacy exact count as NDJSON: progress events while
-// the enumeration runs, then one final result line. A cache hit skips
-// straight to the result; concurrent identical streamed queries collapse
-// into one computation (only the caller that runs it sees progress events).
-func (s *Server) streamCount(w http.ResponseWriter, r *http.Request, e *Entry, workers int) {
-	w.Header().Set("Content-Type", api.ContentTypeNDJSON)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// mu guards enc and the progress throttle together: deciding to fire
-	// and writing the line happen in one critical section, so progress
-	// never goes backwards on the wire.
-	var mu sync.Mutex
-	emitLocked := func(v any) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	emit := func(v any) {
-		mu.Lock()
-		defer mu.Unlock()
-		emitLocked(v)
-	}
-
-	start := time.Now()
-	progress := throttledProgress(e.Graph.NumEdges(), func(done, tot int) {
-		mu.Lock()
-		emitLocked(legacyProgressEvent{Type: "progress", Done: done, Total: tot})
-		mu.Unlock()
-	})
-	c, cached, err := s.countProgress(r.Context(), e, algoExact, 0, 0, workers, progress)
-	if err != nil {
-		emit(api.Error{Error: err.Error()})
-		return
-	}
-	emit(streamResult{Type: "result", CountResult: toCountResult(e.Name, algoExact, c, cached, time.Since(start))})
-}
-
-// handleSyncProfile serves the deprecated synchronous POST /graphs/{name}/profile.
-func (s *Server) handleSyncProfile(w http.ResponseWriter, r *http.Request, p params) {
-	e, ok := s.registry.Get(p["name"])
-	if !ok {
-		writeError(w, http.StatusNotFound, "graph %q not found", p["name"])
-		return
-	}
-	var req api.ProfileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if req.Randomizations == 0 {
-		req.Randomizations = 3
-	}
-	if req.Randomizations < 1 {
-		writeError(w, http.StatusBadRequest, "randomizations must be positive")
-		return
-	}
-	if s.overBudget() {
-		s.writeBackpressure(w)
-		return
-	}
-	workers := s.clampWorkers(req.Workers)
-	start := time.Now()
-	prof, cached, err := s.profile(r.Context(), e, req.Randomizations, req.Seed, workers)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "profile failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.ProfileResult{
-		Graph:          e.Name,
-		Randomizations: req.Randomizations,
-		Seed:           req.Seed,
-		Profile:        prof[:],
-		Norm:           prof.Norm(),
-		Cached:         cached,
-		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-	})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mochy/api"
 	"mochy/internal/hypergraph"
 	counting "mochy/internal/mochy"
 	"mochy/internal/projection"
@@ -73,7 +74,7 @@ func TestLiveEdgesInsertDeleteCounts(t *testing.T) {
 	ts, _ := newTestServer(t)
 	edges := [][]int32{{0, 1, 2}, {0, 3, 1}, {4, 5, 0}, {6, 7, 2}}
 
-	resp, body := postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": edges})
+	resp, body := postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": edges})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert batch: HTTP %d: %s", resp.StatusCode, body["error"])
 	}
@@ -85,8 +86,8 @@ func TestLiveEdgesInsertDeleteCounts(t *testing.T) {
 	}
 	assertCounts(t, body, recount(t, edges), "after insert")
 
-	// GET /graphs/g/counts is the always-current read path.
-	resp, counts := getJSON(t, ts.URL+"/graphs/g/counts")
+	// GET /v1/graphs/g/counts is the always-current read path.
+	resp, counts := getJSON(t, ts.URL+"/v1/graphs/g/counts")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("counts: HTTP %d", resp.StatusCode)
 	}
@@ -98,20 +99,20 @@ func TestLiveEdgesInsertDeleteCounts(t *testing.T) {
 	// Delete one hyperedge by id; counts must match a recount without it.
 	results := field[[]map[string]any](t, body, "results")
 	id := int32(results[1]["id"].(float64))
-	resp, del := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/graphs/g/edges/%d", ts.URL, id), nil)
+	resp, del := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/graphs/g/edges/%d", ts.URL, id), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete edge: HTTP %d: %s", resp.StatusCode, del["error"])
 	}
 	assertCounts(t, del, recount(t, [][]int32{edges[0], edges[2], edges[3]}), "after delete")
 
 	// Deleting it again is a 404.
-	resp, _ = doJSON(t, http.MethodDelete, fmt.Sprintf("%s/graphs/g/edges/%d", ts.URL, id), nil)
+	resp, _ = doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/graphs/g/edges/%d", ts.URL, id), nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double delete: HTTP %d, want 404", resp.StatusCode)
 	}
 
 	// Re-inserting an already-live node set is a conflict.
-	resp, conflict := postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{2, 1, 0}}})
+	resp, conflict := postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{2, 1, 0}}})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate insert: HTTP %d, want 409 (%v)", resp.StatusCode, conflict)
 	}
@@ -123,28 +124,28 @@ func TestLiveEdgesInsertDeleteCounts(t *testing.T) {
 func TestLiveEdgesValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp, _ := getJSON(t, ts.URL+"/graphs/none/counts")
+	resp, _ := getJSON(t, ts.URL+"/v1/graphs/none/counts")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("counts of unknown live graph: HTTP %d, want 404", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/graphs/none/edges/0", nil)
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/none/edges/0", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("delete on unknown live graph: HTTP %d, want 404", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: HTTP %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{}}})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty hyperedge: HTTP %d, want 400", resp.StatusCode)
 	}
 	// The live path enforces the same node-universe cap as graph upload.
-	resp, body := postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 2000000000}}})
+	resp, body := postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 2000000000}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge node id: HTTP %d, want 400 (%v)", resp.StatusCode, body)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/graphs/g/edges/notanint", nil)
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/g/edges/notanint", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad edge id: HTTP %d, want 400", resp.StatusCode)
 	}
@@ -154,7 +155,7 @@ func TestLivePatchMixedDelta(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// PATCH can bootstrap a live graph from pure inserts.
-	resp, body := doJSON(t, http.MethodPatch, ts.URL+"/graphs/g", map[string]any{
+	resp, body := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g", map[string]any{
 		"inserts": [][]int32{{0, 1, 2}, {0, 3, 1}, {4, 5, 0}},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -164,7 +165,7 @@ func TestLivePatchMixedDelta(t *testing.T) {
 	id0 := int32(results[0]["id"].(float64))
 
 	// Mixed delta: deletes apply before inserts.
-	resp, body = doJSON(t, http.MethodPatch, ts.URL+"/graphs/g", map[string]any{
+	resp, body = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g", map[string]any{
 		"deletes": []int32{id0},
 		"inserts": [][]int32{{6, 7, 2}, {0, 1, 2, 8}},
 	})
@@ -177,7 +178,7 @@ func TestLivePatchMixedDelta(t *testing.T) {
 	want := recount(t, [][]int32{{0, 3, 1}, {4, 5, 0}, {6, 7, 2}, {0, 1, 2, 8}})
 	assertCounts(t, body, want, "after mixed patch")
 
-	resp, _ = doJSON(t, http.MethodPatch, ts.URL+"/graphs/g", map[string]any{})
+	resp, _ = doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/g", map[string]any{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty patch: HTTP %d, want 400", resp.StatusCode)
 	}
@@ -202,7 +203,7 @@ func TestLiveWorkloadMatchesRecount(t *testing.T) {
 			for i := range nodes {
 				nodes[i] = int32(rng.Intn(15))
 			}
-			resp, body := postJSON(t, ts.URL+"/graphs/w/edges", map[string]any{"edges": [][]int32{nodes}})
+			resp, body := postJSON(t, ts.URL+"/v1/graphs/w/edges", map[string]any{"edges": [][]int32{nodes}})
 			switch resp.StatusCode {
 			case http.StatusOK:
 				results := field[[]map[string]any](t, body, "results")
@@ -217,7 +218,7 @@ func TestLiveWorkloadMatchesRecount(t *testing.T) {
 		case rng.Float64() < 0.5:
 			at := rng.Intn(len(ids))
 			id := ids[at]
-			resp, body := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/graphs/w/edges/%d", ts.URL, id), nil)
+			resp, body := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/graphs/w/edges/%d", ts.URL, id), nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("step %d: delete %d: HTTP %d: %s", step, id, resp.StatusCode, body["error"])
 			}
@@ -229,7 +230,7 @@ func TestLiveWorkloadMatchesRecount(t *testing.T) {
 			at := rng.Intn(len(ids))
 			id := ids[at]
 			nodes := []int32{int32(rng.Intn(15)), int32(15 + rng.Intn(5)), int32(20 + step)}
-			resp, body := doJSON(t, http.MethodPatch, ts.URL+"/graphs/w", map[string]any{
+			resp, body := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/w", map[string]any{
 				"deletes": []int32{id},
 				"inserts": [][]int32{nodes},
 			})
@@ -246,7 +247,7 @@ func TestLiveWorkloadMatchesRecount(t *testing.T) {
 		}
 	}
 
-	resp, body := getJSON(t, ts.URL+"/graphs/w/counts")
+	resp, body := getJSON(t, ts.URL+"/v1/graphs/w/counts")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("counts: HTTP %d", resp.StatusCode)
 	}
@@ -264,13 +265,13 @@ func TestLiveWorkloadMatchesRecount(t *testing.T) {
 func TestLiveSnapshot(t *testing.T) {
 	ts, s := newTestServer(t)
 	edges := [][]int32{{0, 1, 2}, {0, 3, 1}, {4, 5, 0}, {6, 7, 2}, {1, 4, 6}}
-	postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": edges})
+	postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": edges})
 
-	resp, body := postJSON(t, ts.URL+"/graphs/g/snapshot", nil)
+	resp, body := postJSON(t, ts.URL+"/v1/graphs/g/snapshot", nil)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("snapshot: HTTP %d: %s", resp.StatusCode, body["error"])
 	}
-	var stats statsResult
+	var stats api.Stats
 	if err := json.Unmarshal(body["stats"], &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +282,8 @@ func TestLiveSnapshot(t *testing.T) {
 	// The frozen view's exact count must be an immediate cache hit equal to
 	// a library recount — MoCHy-E never runs.
 	hits0, _ := s.cache.Counters()
-	resp, count := postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "exact"})
-	if resp.StatusCode != http.StatusOK {
+	resp, count := runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "exact"})
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("count on frozen view: HTTP %d", resp.StatusCode)
 	}
 	if !field[bool](t, count, "cached") {
@@ -295,39 +296,42 @@ func TestLiveSnapshot(t *testing.T) {
 	assertCounts(t, count, recount(t, edges), "frozen-view exact count")
 
 	// Sampling endpoints operate on the frozen view.
-	resp, est := postJSON(t, ts.URL+"/graphs/g/count",
+	resp, est := runJob(t, ts.URL+"/v1/graphs/g/count",
 		map[string]any{"algorithm": "wedge-sample", "samples": 200, "seed": 5})
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sampled count on frozen view: HTTP %d: %s", resp.StatusCode, est["error"])
+	}
+	if got := field[[]float64](t, est, "counts"); len(got) != len(counting.Counts{}) {
+		t.Fatalf("sampled count on frozen view: %d counts, want %d", len(got), len(counting.Counts{}))
 	}
 
 	// Mutate the live graph and re-snapshot: the stale generation's cached
 	// results are purged in place and the new exact counts re-seeded.
-	postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{2, 5, 7}}})
-	resp, body = postJSON(t, ts.URL+"/graphs/g/snapshot", nil)
+	postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{2, 5, 7}}})
+	resp, body = postJSON(t, ts.URL+"/v1/graphs/g/snapshot", nil)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("re-snapshot: HTTP %d", resp.StatusCode)
 	}
 	if !field[bool](t, body, "replaced") {
 		t.Fatal("re-snapshot did not replace the frozen view")
 	}
-	_, count2 := postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "exact"})
+	_, count2 := runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "exact"})
 	if !field[bool](t, count2, "cached") {
 		t.Fatal("re-snapshot did not seed the new generation's exact count")
 	}
 	assertCounts(t, count2, recount(t, append(append([][]int32{}, edges...), []int32{2, 5, 7})), "re-snapshot")
 
 	// Snapshot under a different name leaves the original alone.
-	resp, _ = postJSON(t, ts.URL+"/graphs/g/snapshot", map[string]any{"as": "frozen"})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/g/snapshot", map[string]any{"as": "frozen"})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("snapshot as: HTTP %d", resp.StatusCode)
 	}
-	resp, _ = getJSON(t, ts.URL+"/graphs/frozen/stats")
+	resp, _ = getJSON(t, ts.URL+"/v1/graphs/frozen/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats of named snapshot: HTTP %d", resp.StatusCode)
 	}
 
-	resp, _ = postJSON(t, ts.URL+"/graphs/missing/snapshot", nil)
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/missing/snapshot", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("snapshot of unknown live graph: HTTP %d, want 404", resp.StatusCode)
 	}
@@ -340,14 +344,14 @@ func TestDeleteGraphPurgesCache(t *testing.T) {
 	ts, s := newTestServer(t)
 	loadGraph(t, ts.URL, "a", benchGraph(31))
 	loadGraph(t, ts.URL, "b", benchGraph(32))
-	postJSON(t, ts.URL+"/graphs/a/count", map[string]any{"algorithm": "exact"})
-	postJSON(t, ts.URL+"/graphs/a/count", map[string]any{"algorithm": "edge-sample", "samples": 50, "seed": 1})
-	postJSON(t, ts.URL+"/graphs/b/count", map[string]any{"algorithm": "exact"})
+	runJob(t, ts.URL+"/v1/graphs/a/count", map[string]any{"algorithm": "exact"})
+	runJob(t, ts.URL+"/v1/graphs/a/count", map[string]any{"algorithm": "edge-sample", "samples": 50, "seed": 1})
+	runJob(t, ts.URL+"/v1/graphs/b/count", map[string]any{"algorithm": "exact"})
 	if n := s.cache.Len(); n != 3 {
 		t.Fatalf("cache has %d entries, want 3", n)
 	}
 
-	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/graphs/a", nil)
+	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/a", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: HTTP %d", resp.StatusCode)
 	}
@@ -359,32 +363,32 @@ func TestDeleteGraphPurgesCache(t *testing.T) {
 	}
 
 	// Replacing a graph purges the dead generation's entries too.
-	postJSON(t, ts.URL+"/graphs/b/count", map[string]any{"algorithm": "edge-sample", "samples": 50, "seed": 1})
+	runJob(t, ts.URL+"/v1/graphs/b/count", map[string]any{"algorithm": "edge-sample", "samples": 50, "seed": 1})
 	loadGraph(t, ts.URL, "b", benchGraph(33))
 	if n := s.cache.Len(); n != 0 {
 		t.Fatalf("cache has %d entries after re-upload, want 0 (stale generation purged)", n)
 	}
 }
 
-// TestDeleteGraphCoversLive checks DELETE /graphs/{name} against live-only
+// TestDeleteGraphCoversLive checks DELETE /v1/graphs/{name} against live-only
 // and mixed live+static names.
 func TestDeleteGraphCoversLive(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 1, 2}}})
-	postJSON(t, ts.URL+"/graphs/g/snapshot", nil)
+	postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 1, 2}}})
+	postJSON(t, ts.URL+"/v1/graphs/g/snapshot", nil)
 
-	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/graphs/g", nil)
+	resp, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/g", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: HTTP %d", resp.StatusCode)
 	}
 	if !field[bool](t, body, "static") || !field[bool](t, body, "live") {
 		t.Fatalf("delete did not cover both registries: %v", body)
 	}
-	resp, _ = getJSON(t, ts.URL+"/graphs/g/counts")
+	resp, _ = getJSON(t, ts.URL+"/v1/graphs/g/counts")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("live counts after delete: HTTP %d, want 404", resp.StatusCode)
 	}
-	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/graphs/g", nil)
+	resp, _ = doJSON(t, http.MethodDelete, ts.URL+"/v1/graphs/g", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("second delete: HTTP %d, want 404", resp.StatusCode)
 	}
@@ -396,7 +400,7 @@ func TestStreamIngestEndpoint(t *testing.T) {
 	body := strings.Join(lines, "\n")
 
 	// Capacity covers the stream, so estimates must equal exact counts.
-	resp, err := http.Post(ts.URL+"/streams/s?capacity=100&seed=7", "application/x-ndjson",
+	resp, err := http.Post(ts.URL+"/v1/streams/s?capacity=100&seed=7", "application/x-ndjson",
 		strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +420,7 @@ func TestStreamIngestEndpoint(t *testing.T) {
 	}
 	want := recount(t, [][]int32{{0, 1, 2}, {0, 3, 1}, {4, 5, 0}, {6, 7, 2}, {1, 4, 6}})
 	assertCounts(t, res, want, "stream exact counts")
-	var est streamState
+	var est api.StreamState
 	if err := json.Unmarshal(res["estimator"], &est); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +432,7 @@ func TestStreamIngestEndpoint(t *testing.T) {
 
 	// The live graph is the same object: counts endpoint shows the stream
 	// state side by side, and mutations keep working.
-	resp2, counts := getJSON(t, ts.URL+"/graphs/s/counts")
+	resp2, counts := getJSON(t, ts.URL+"/v1/graphs/s/counts")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("counts: HTTP %d", resp2.StatusCode)
 	}
@@ -436,8 +440,8 @@ func TestStreamIngestEndpoint(t *testing.T) {
 		t.Fatal("live counts missing stream state")
 	}
 
-	// GET /streams/{name} reports the estimator.
-	resp3, got := getJSON(t, ts.URL+"/streams/s")
+	// GET /v1/streams/{name} reports the estimator.
+	resp3, got := getJSON(t, ts.URL+"/v1/streams/s")
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("GET stream: HTTP %d", resp3.StatusCode)
 	}
@@ -446,7 +450,7 @@ func TestStreamIngestEndpoint(t *testing.T) {
 	}
 
 	// A later batch reuses the attached estimator (params ignored).
-	resp4, err := http.Post(ts.URL+"/streams/s?capacity=2", "application/x-ndjson",
+	resp4, err := http.Post(ts.URL+"/v1/streams/s?capacity=2", "application/x-ndjson",
 		strings.NewReader("[8,9,0]"))
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +459,7 @@ func TestStreamIngestEndpoint(t *testing.T) {
 	if resp4.StatusCode != http.StatusOK {
 		t.Fatalf("second batch: HTTP %d: %s", resp4.StatusCode, res4["error"])
 	}
-	var est4 streamState
+	var est4 api.StreamState
 	if err := json.Unmarshal(res4["estimator"], &est4); err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +471,13 @@ func TestStreamIngestEndpoint(t *testing.T) {
 func TestStreamValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp, _ := getJSON(t, ts.URL+"/streams/none")
+	resp, _ := getJSON(t, ts.URL+"/v1/streams/none")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown stream: HTTP %d, want 404", resp.StatusCode)
 	}
 	// A live graph without an estimator is not a stream.
-	postJSON(t, ts.URL+"/graphs/plain/edges", map[string]any{"edges": [][]int32{{0, 1}}})
-	resp, _ = getJSON(t, ts.URL+"/streams/plain")
+	postJSON(t, ts.URL+"/v1/graphs/plain/edges", map[string]any{"edges": [][]int32{{0, 1}}})
+	resp, _ = getJSON(t, ts.URL+"/v1/streams/plain")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET non-stream live graph: HTTP %d, want 404", resp.StatusCode)
 	}
@@ -482,10 +486,10 @@ func TestStreamValidation(t *testing.T) {
 		url  string
 		body string
 	}{
-		"bad capacity":  {"/streams/s?capacity=1", "[0,1]"},
-		"bad JSON line": {"/streams/s", "[0,1]\nnot json"},
-		"object line":   {"/streams/s", `{"nodes":[0,1]}`},
-		"empty body":    {"/streams/s", ""},
+		"bad capacity":  {"/v1/streams/s?capacity=1", "[0,1]"},
+		"bad JSON line": {"/v1/streams/s", "[0,1]\nnot json"},
+		"object line":   {"/v1/streams/s", `{"nodes":[0,1]}`},
+		"empty body":    {"/v1/streams/s", ""},
 	} {
 		resp, err := http.Post(ts.URL+tc.url, "application/x-ndjson", strings.NewReader(tc.body))
 		if err != nil {
@@ -498,7 +502,7 @@ func TestStreamValidation(t *testing.T) {
 	}
 
 	// A mid-stream invalid record applies the prefix and reports the error.
-	resp, err := http.Post(ts.URL+"/streams/partial", "application/x-ndjson",
+	resp, err := http.Post(ts.URL+"/v1/streams/partial", "application/x-ndjson",
 		strings.NewReader("[0,1,2]\n[-1,3]\n[4,5]"))
 	if err != nil {
 		t.Fatal(err)
@@ -523,16 +527,16 @@ func TestSamplingTTLExpiry(t *testing.T) {
 	g := benchGraph(40)
 	e, _ := s.registry.Load("g", g)
 
-	if _, cached, err := s.count(context.Background(), e, algoEdge, 50, 1, 1); err != nil || cached {
+	if _, cached, err := s.countProgress(context.Background(), e, algoEdge, 50, 1, 1, nil); err != nil || cached {
 		t.Fatalf("cold sampled count: cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoEdge, 50, 1, 1); err != nil || cached {
+	if _, cached, err := s.countProgress(context.Background(), e, algoEdge, 50, 1, 1, nil); err != nil || cached {
 		t.Fatalf("expired sampled count served from cache (TTL ignored): cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil || cached {
+	if _, cached, err := s.countProgress(context.Background(), e, algoExact, 0, 0, 1, nil); err != nil || cached {
 		t.Fatalf("cold exact count: cached=%v err=%v", cached, err)
 	}
-	if _, cached, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil || !cached {
+	if _, cached, err := s.countProgress(context.Background(), e, algoExact, 0, 0, 1, nil); err != nil || !cached {
 		t.Fatalf("exact count must never expire: cached=%v err=%v", cached, err)
 	}
 }
@@ -540,16 +544,16 @@ func TestSamplingTTLExpiry(t *testing.T) {
 // TestHealthzLiveGraphs checks the live-graph gauge.
 func TestHealthzLiveGraphs(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/graphs/a/edges", map[string]any{"edges": [][]int32{{0, 1}}})
-	postJSON(t, ts.URL+"/graphs/b/edges", map[string]any{"edges": [][]int32{{0, 1}}})
-	resp, body := getJSON(t, ts.URL+"/healthz")
+	postJSON(t, ts.URL+"/v1/graphs/a/edges", map[string]any{"edges": [][]int32{{0, 1}}})
+	postJSON(t, ts.URL+"/v1/graphs/b/edges", map[string]any{"edges": [][]int32{{0, 1}}})
+	resp, body := getJSON(t, ts.URL+"/v1/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d", resp.StatusCode)
 	}
 	if got := field[int](t, body, "live_graphs"); got != 2 {
 		t.Fatalf("live_graphs = %d, want 2", got)
 	}
-	resp, list := getJSON(t, ts.URL+"/graphs")
+	resp, list := getJSON(t, ts.URL+"/v1/graphs")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list: HTTP %d", resp.StatusCode)
 	}
@@ -564,7 +568,7 @@ func TestHealthzLiveGraphs(t *testing.T) {
 // concurrently, checked under -race in CI.
 func TestConcurrentMutateWhileQuery(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 1, 2}}})
+	postJSON(t, ts.URL+"/v1/graphs/g/edges", map[string]any{"edges": [][]int32{{0, 1, 2}}})
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -573,7 +577,7 @@ func TestConcurrentMutateWhileQuery(t *testing.T) {
 			defer wg.Done()
 			base := int32(10 + w*100)
 			for i := int32(0); i < 25; i++ {
-				resp, body := postJSON(t, ts.URL+"/graphs/g/edges",
+				resp, body := postJSON(t, ts.URL+"/v1/graphs/g/edges",
 					map[string]any{"edges": [][]int32{{base + i, base + i + 1, int32(w)}}})
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("writer %d: HTTP %d: %s", w, resp.StatusCode, body["error"])
@@ -582,7 +586,7 @@ func TestConcurrentMutateWhileQuery(t *testing.T) {
 				if i%4 == 0 {
 					results := field[[]map[string]any](t, body, "results")
 					id := int32(results[0]["id"].(float64))
-					resp, _ := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/graphs/g/edges/%d", ts.URL, id), nil)
+					resp, _ := doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/graphs/g/edges/%d", ts.URL, id), nil)
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("writer %d: delete HTTP %d", w, resp.StatusCode)
 						return
@@ -596,21 +600,25 @@ func TestConcurrentMutateWhileQuery(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				resp, _ := getJSON(t, ts.URL+"/graphs/g/counts")
+				resp, _ := getJSON(t, ts.URL+"/v1/graphs/g/counts")
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("reader %d: HTTP %d", r, resp.StatusCode)
 					return
 				}
 				if i%8 == 0 {
-					resp, _ := postJSON(t, ts.URL+"/graphs/g/snapshot", nil)
+					resp, _ := postJSON(t, ts.URL+"/v1/graphs/g/snapshot", nil)
 					if resp.StatusCode != http.StatusCreated {
 						t.Errorf("reader %d: snapshot HTTP %d", r, resp.StatusCode)
 						return
 					}
-					resp, _ = postJSON(t, ts.URL+"/graphs/g/count",
+					resp, est := runJob(t, ts.URL+"/v1/graphs/g/count",
 						map[string]any{"algorithm": "edge-sample", "samples": 20, "seed": int64(i)})
-					if resp.StatusCode != http.StatusOK {
+					if resp.StatusCode != http.StatusAccepted {
 						t.Errorf("reader %d: sampled count HTTP %d", r, resp.StatusCode)
+						return
+					}
+					if _, ok := est["counts"]; !ok {
+						t.Errorf("reader %d: sampled count has no counts: %v", r, est)
 						return
 					}
 				}
@@ -621,16 +629,16 @@ func TestConcurrentMutateWhileQuery(t *testing.T) {
 
 	// After the dust settles the counts must equal a from-scratch recount
 	// of whatever survived.
-	resp, body := postJSON(t, ts.URL+"/graphs/g/snapshot", map[string]any{"as": "final"})
+	resp, body := postJSON(t, ts.URL+"/v1/graphs/g/snapshot", map[string]any{"as": "final"})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("final snapshot: HTTP %d", resp.StatusCode)
 	}
 	_ = body
-	resp, frozen := postJSON(t, ts.URL+"/graphs/final/count", map[string]any{"algorithm": "exact"})
-	if resp.StatusCode != http.StatusOK {
+	resp, frozen := runJob(t, ts.URL+"/v1/graphs/final/count", map[string]any{"algorithm": "exact"})
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("frozen exact count: HTTP %d", resp.StatusCode)
 	}
-	resp, livec := getJSON(t, ts.URL+"/graphs/g/counts")
+	resp, livec := getJSON(t, ts.URL+"/v1/graphs/g/counts")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("live counts: HTTP %d", resp.StatusCode)
 	}
@@ -645,17 +653,17 @@ func TestFailedBootstrapLeavesNoGraph(t *testing.T) {
 	ts, s := newTestServer(t)
 
 	// Pure-delete PATCH on an unknown name must 404, not create.
-	resp, _ := doJSON(t, http.MethodPatch, ts.URL+"/graphs/typo", map[string]any{"deletes": []int32{1}})
+	resp, _ := doJSON(t, http.MethodPatch, ts.URL+"/v1/graphs/typo", map[string]any{"deletes": []int32{1}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("pure-delete patch on unknown graph: HTTP %d, want 404", resp.StatusCode)
 	}
 	// A fully-failing insert batch must not leave an empty graph behind.
-	resp, _ = postJSON(t, ts.URL+"/graphs/typo/edges", map[string]any{"edges": [][]int32{{0, 2000000000}}})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/typo/edges", map[string]any{"edges": [][]int32{{0, 2000000000}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad bootstrap: HTTP %d, want 400", resp.StatusCode)
 	}
 	// Neither must a failing stream batch.
-	respS, err := http.Post(ts.URL+"/streams/typo", "application/x-ndjson", strings.NewReader("[-1,2]"))
+	respS, err := http.Post(ts.URL+"/v1/streams/typo", "application/x-ndjson", strings.NewReader("[-1,2]"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +672,7 @@ func TestFailedBootstrapLeavesNoGraph(t *testing.T) {
 		t.Fatalf("live registry has %d graphs after failed bootstraps, want 0 (%v)", got, s.liveReg.Names())
 	}
 	// A partially-applied bootstrap keeps the graph (mutations happened).
-	resp, _ = postJSON(t, ts.URL+"/graphs/part/edges",
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/part/edges",
 		map[string]any{"edges": [][]int32{{0, 1}, {0, 2000000000}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("partial bootstrap: HTTP %d, want 400", resp.StatusCode)
@@ -675,23 +683,30 @@ func TestFailedBootstrapLeavesNoGraph(t *testing.T) {
 }
 
 // TestTrailingPathSegmentsRejected: only /edges takes a sub-path; stray
-// segments after other actions are 404s, not silently ignored.
+// segments after other actions are 404s, not silently ignored. Each path
+// without its stray segment is a registered route, so the 404 comes from
+// the extra segment alone.
 func TestTrailingPathSegmentsRejected(t *testing.T) {
 	ts, _ := newTestServer(t)
 	loadGraph(t, ts.URL, "g", benchGraph(50))
-	postJSON(t, ts.URL+"/graphs/lg/edges", map[string]any{"edges": [][]int32{{0, 1}}})
+	postJSON(t, ts.URL+"/v1/graphs/lg/edges", map[string]any{"edges": [][]int32{{0, 1}}})
 
-	for _, path := range []string{
-		"/graphs/g/count/extra", "/graphs/g/stats/xyz", "/graphs/g/profile/1",
-		"/graphs/lg/counts/0", "/graphs/lg/snapshot/now",
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/graphs/g/count"},
+		{http.MethodGet, "/v1/graphs/g/stats"},
+		{http.MethodPost, "/v1/graphs/g/profile"},
+		{http.MethodGet, "/v1/graphs/lg/counts"},
+		{http.MethodPost, "/v1/graphs/lg/snapshot"},
 	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
+		// An invalid body keeps the matched count and profile routes from
+		// starting jobs: they answer 400, which still proves a match.
+		resp, _ := doJSON(t, tc.method, ts.URL+tc.path, map[string]any{"algorithm": "bogus", "randomizations": -1})
+		if resp.StatusCode == http.StatusNotFound {
+			t.Fatalf("%s %s: HTTP 404, want a registered route", tc.method, tc.path)
 		}
-		resp.Body.Close()
+		resp, _ = doJSON(t, tc.method, ts.URL+tc.path+"/extra", map[string]any{})
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("POST %s: HTTP %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s/extra: HTTP %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
 	}
 }
@@ -703,7 +718,7 @@ func TestDeadGenerationNotRecached(t *testing.T) {
 	defer s.Close()
 	e, _ := s.registry.Load("g", benchGraph(51))
 	s.registry.Delete("g")
-	if _, _, err := s.count(context.Background(), e, algoExact, 0, 0, 1); err != nil {
+	if _, _, err := s.countProgress(context.Background(), e, algoExact, 0, 0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.cache.Len(); n != 0 {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"mochy/api"
 	"mochy/internal/cp"
 	"mochy/internal/generator"
 	"mochy/internal/hypergraph"
@@ -51,6 +51,45 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]json.RawMessa
 	return resp, decodeBody(t, resp)
 }
 
+// runJob submits a v1 count or profile request and waits on the job's
+// events stream for its terminal event. It returns the submit response and
+// the job's result document; a submit that was not accepted (202) returns
+// its own error body. A job that ends in an error event fails the test and
+// yields a nil document, so a caller's 202 check alone never passes a
+// failed count.
+func runJob(t *testing.T, url string, body any) (*http.Response, map[string]json.RawMessage) {
+	t.Helper()
+	resp, sub := postJSON(t, url, body)
+	if resp.StatusCode != http.StatusAccepted {
+		return resp, sub
+	}
+	events := *resp.Request.URL
+	events.Path = resp.Header.Get("Location") + "/events"
+	evResp, err := http.Get(events.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer evResp.Body.Close()
+	dec := json.NewDecoder(evResp.Body)
+	for {
+		var ev api.JobEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("job events: %v", err)
+		}
+		switch ev.Type {
+		case api.EventResult:
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(ev.Result, &m); err != nil {
+				t.Fatal(err)
+			}
+			return resp, m
+		case api.EventError:
+			t.Errorf("job at %s failed: %s", url, ev.Error)
+			return resp, nil
+		}
+	}
+}
+
 func decodeBody(t *testing.T, resp *http.Response) map[string]json.RawMessage {
 	t.Helper()
 	defer resp.Body.Close()
@@ -80,7 +119,7 @@ func loadGraph(t *testing.T, baseURL, name string, g *hypergraph.Hypergraph) {
 	if err := g.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := postJSON(t, baseURL+"/graphs", map[string]any{"name": name, "text": buf.String()})
+	resp, _ := doJSON(t, http.MethodPut, baseURL+"/v1/graphs/"+name, map[string]any{"text": buf.String()})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("load %s: HTTP %d", name, resp.StatusCode)
 	}
@@ -94,8 +133,8 @@ func benchGraph(seed int64) *hypergraph.Hypergraph {
 
 func TestLoadTextAndStatsRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/graphs", map[string]any{
-		"name": "fig2", "text": "0 1 2\n0 3 1\n4 5 0\n6 7 2\n",
+	resp, body := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/fig2", map[string]any{
+		"text": "0 1 2\n0 3 1\n4 5 0\n6 7 2\n",
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("HTTP %d, want 201", resp.StatusCode)
@@ -107,7 +146,7 @@ func TestLoadTextAndStatsRoundTrip(t *testing.T) {
 		t.Fatal("first load reported replaced")
 	}
 
-	resp, stats := getJSON(t, ts.URL+"/graphs/fig2/stats")
+	resp, stats := getJSON(t, ts.URL+"/v1/graphs/fig2/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: HTTP %d", resp.StatusCode)
 	}
@@ -121,7 +160,7 @@ func TestLoadTextAndStatsRoundTrip(t *testing.T) {
 		t.Fatalf("size_histogram = %v, want 4 edges of size 3", h)
 	}
 
-	resp, list := getJSON(t, ts.URL+"/graphs")
+	resp, list := getJSON(t, ts.URL+"/v1/graphs")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list: HTTP %d", resp.StatusCode)
 	}
@@ -132,14 +171,13 @@ func TestLoadTextAndStatsRoundTrip(t *testing.T) {
 
 func TestLoadEdgesBody(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/graphs", map[string]any{
-		"name":  "tri",
+	resp, body := doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/tri", map[string]any{
 		"edges": [][]int32{{0, 1, 2}, {0, 1, 3}, {2, 3}},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("HTTP %d, want 201", resp.StatusCode)
 	}
-	var stats statsResult
+	var stats api.Stats
 	if err := json.Unmarshal(body["stats"], &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -148,26 +186,31 @@ func TestLoadEdgesBody(t *testing.T) {
 	}
 }
 
+// TestLoadValidation covers the JSON upload body (PUT /v1/graphs/{name}
+// with a GraphDoc): every malformed document is a 400 with an error body.
 func TestLoadValidation(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, s := newTestServer(t)
 	cases := []struct {
 		name string
 		body string
 	}{
 		{"invalid JSON", "{"},
-		{"missing name", `{"text": "0 1\n"}`},
-		{"slash in name", `{"name": "a/b", "text": "0 1\n"}`},
-		{"no payload", `{"name": "g"}`},
-		{"both payloads", `{"name": "g", "text": "0 1\n", "edges": [[0, 1]]}`},
-		{"malformed text", `{"name": "g", "text": "0 x\n"}`},
+		{"no payload", `{}`},
+		{"both payloads", `{"text": "0 1\n", "edges": [[0, 1]]}`},
+		{"malformed text", `{"text": "0 x\n"}`},
 		// A huge node ID must be rejected, not allocated for: the incidence
 		// index is proportional to the largest ID.
-		{"huge node id in edges", `{"name": "g", "edges": [[2000000000]]}`},
-		{"huge node id in text", `{"name": "g", "text": "0 2000000000\n"}`},
-		{"huge num_nodes", `{"name": "g", "num_nodes": 2000000000, "edges": [[0, 1]]}`},
+		{"huge node id in edges", `{"edges": [[2000000000]]}`},
+		{"huge node id in text", `{"text": "0 2000000000\n"}`},
+		{"huge num_nodes", `{"num_nodes": 2000000000, "edges": [[0, 1]]}`},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/graphs", "application/json", strings.NewReader(tc.body))
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/g", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,6 +221,9 @@ func TestLoadValidation(t *testing.T) {
 		if msg := field[string](t, body, "error"); msg == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
+	}
+	if s.registry.Len() != 0 {
+		t.Fatalf("rejected uploads registered %v", s.registry.Names())
 	}
 }
 
@@ -203,8 +249,8 @@ func TestCountMatchesLibrary(t *testing.T) {
 			counting.CountWedgeSamples(g, p, p, samples, seed, workers)},
 	}
 	for _, tc := range cases {
-		resp, body := postJSON(t, ts.URL+"/graphs/g/count", tc.req)
-		if resp.StatusCode != http.StatusOK {
+		resp, body := runJob(t, ts.URL+"/v1/graphs/g/count", tc.req)
+		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("%s: HTTP %d: %s", tc.algo, resp.StatusCode, body["error"])
 		}
 		got := field[[]float64](t, body, "counts")
@@ -230,11 +276,11 @@ func TestCountCacheSemantics(t *testing.T) {
 	loadGraph(t, ts.URL, "g", benchGraph(4))
 
 	req := map[string]any{"algorithm": "exact"}
-	_, cold := postJSON(t, ts.URL+"/graphs/g/count", req)
+	_, cold := runJob(t, ts.URL+"/v1/graphs/g/count", req)
 	if field[bool](t, cold, "cached") {
 		t.Fatal("first query reported cached")
 	}
-	_, warm := postJSON(t, ts.URL+"/graphs/g/count", req)
+	_, warm := runJob(t, ts.URL+"/v1/graphs/g/count", req)
 	if !field[bool](t, warm, "cached") {
 		t.Fatal("repeat query not served from cache")
 	}
@@ -243,7 +289,7 @@ func TestCountCacheSemantics(t *testing.T) {
 	}
 
 	// Different parameters are different cache keys.
-	_, other := postJSON(t, ts.URL+"/graphs/g/count",
+	_, other := runJob(t, ts.URL+"/v1/graphs/g/count",
 		map[string]any{"algorithm": "edge-sample", "samples": 100, "seed": 1})
 	if field[bool](t, other, "cached") {
 		t.Fatal("different algorithm was served the cached exact result")
@@ -252,7 +298,7 @@ func TestCountCacheSemantics(t *testing.T) {
 	// Re-uploading the graph invalidates prior results via the generation
 	// in the cache key: a fresh upload must recompute.
 	loadGraph(t, ts.URL, "g", benchGraph(5))
-	_, reloaded := postJSON(t, ts.URL+"/graphs/g/count", req)
+	_, reloaded := runJob(t, ts.URL+"/v1/graphs/g/count", req)
 	if field[bool](t, reloaded, "cached") {
 		t.Fatal("replaced graph served the old graph's cached counts")
 	}
@@ -264,119 +310,60 @@ func TestCountCacheSemantics(t *testing.T) {
 	}
 }
 
+// TestSamplingCacheSharedAcrossWorkers: sampling estimates are identical at
+// every worker count, so the same request at another workers value is a
+// cache hit, and the cached counts equal what that worker count computes.
+func TestSamplingCacheSharedAcrossWorkers(t *testing.T) {
+	ts, _ := newTestServer(t)
+	g := benchGraph(7)
+	loadGraph(t, ts.URL, "g", g)
+	p := projection.Build(g)
+
+	const samples, seed = 300, 3
+	for algo, atTwo := range map[string]counting.Counts{
+		"edge-sample":  counting.CountEdgeSamples(g, p, samples, seed, 2),
+		"wedge-sample": counting.CountWedgeSamples(g, p, p, samples, seed, 2),
+	} {
+		req := map[string]any{"algorithm": algo, "samples": samples, "seed": seed, "workers": 1}
+		_, cold := runJob(t, ts.URL+"/v1/graphs/g/count", req)
+		if field[bool](t, cold, "cached") {
+			t.Fatalf("%s: first query reported cached", algo)
+		}
+		req["workers"] = 2
+		_, warm := runJob(t, ts.URL+"/v1/graphs/g/count", req)
+		if !field[bool](t, warm, "cached") {
+			t.Fatalf("%s: same estimate at workers=2 was recomputed, not served from cache", algo)
+		}
+		if !bytes.Equal(cold["counts"], warm["counts"]) {
+			t.Fatalf("%s: cached counts differ between worker counts", algo)
+		}
+		assertCounts(t, warm, atTwo, algo+" at workers=2")
+	}
+}
+
 func TestCountValidation(t *testing.T) {
 	ts, _ := newTestServer(t)
 	loadGraph(t, ts.URL, "g", benchGraph(6))
 
-	resp, _ := postJSON(t, ts.URL+"/graphs/missing/count", map[string]any{})
+	resp, _ := postJSON(t, ts.URL+"/v1/graphs/missing/count", map[string]any{})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown graph: HTTP %d, want 404", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "bogus"})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "bogus"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad algorithm: HTTP %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "edge-sample"})
+	resp, _ = postJSON(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "edge-sample"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing samples: HTTP %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/graphs/g/count")
+	resp, err := http.Get(ts.URL + "/v1/graphs/g/count")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET count: HTTP %d, want 405", resp.StatusCode)
-	}
-}
-
-func TestStreamedCount(t *testing.T) {
-	ts, _ := newTestServer(t)
-	// Large enough that every worker processes more than one progress
-	// stride (256 anchors), so mid-run progress events are guaranteed.
-	g := generator.Generate(generator.Config{
-		Domain: generator.Contact, Nodes: 600, Edges: 4000, Seed: 7,
-	})
-	loadGraph(t, ts.URL, "g", g)
-	want := counting.CountExact(g, projection.Build(g), 2)
-
-	resp, err := http.Post(ts.URL+"/graphs/g/count", "application/json",
-		strings.NewReader(`{"algorithm": "exact", "stream": true, "workers": 2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-
-	var progressLines int
-	var result *streamResult
-	lastDone := 0
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch probe.Type {
-		case "progress":
-			if result != nil {
-				t.Fatal("progress event after result")
-			}
-			var ev progressEvent
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				t.Fatal(err)
-			}
-			if ev.Total != g.NumEdges() {
-				t.Fatalf("progress total = %d, want %d", ev.Total, g.NumEdges())
-			}
-			if ev.Done < lastDone {
-				t.Fatalf("progress went backwards: %d after %d", ev.Done, lastDone)
-			}
-			lastDone = ev.Done
-			progressLines++
-		case "result":
-			var res streamResult
-			if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-				t.Fatal(err)
-			}
-			result = &res
-		default:
-			t.Fatalf("unexpected event type %q", probe.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if result == nil {
-		t.Fatal("stream ended without a result line")
-	}
-	if progressLines == 0 {
-		t.Fatal("stream produced no progress events")
-	}
-	for i, v := range result.Counts {
-		if v != want[i] {
-			t.Fatalf("streamed counts[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-
-	// A second streamed query replays the now-cached result immediately.
-	resp2, err := http.Post(ts.URL+"/graphs/g/count", "application/json",
-		strings.NewReader(`{"algorithm": "exact", "stream": true, "workers": 2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var cachedResult streamResult
-	if err := json.NewDecoder(resp2.Body).Decode(&cachedResult); err != nil {
-		t.Fatal(err)
-	}
-	if cachedResult.Type != "result" || !cachedResult.Cached {
-		t.Fatalf("cached stream = type %q cached %v, want immediate cached result",
-			cachedResult.Type, cachedResult.Cached)
 	}
 }
 
@@ -397,9 +384,9 @@ func TestProfileMatchesLibrary(t *testing.T) {
 	}
 	want := cp.Compute(&real, randomized)
 
-	resp, body := postJSON(t, ts.URL+"/graphs/g/profile",
+	resp, body := runJob(t, ts.URL+"/v1/graphs/g/profile",
 		map[string]any{"randomizations": randomizations, "seed": seed, "workers": workers})
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, body["error"])
 	}
 	got := field[[]float64](t, body, "profile")
@@ -417,12 +404,12 @@ func TestProfileMatchesLibrary(t *testing.T) {
 
 	// The repeat is a cache hit; the exact-count half is also now cached
 	// for count queries.
-	_, warm := postJSON(t, ts.URL+"/graphs/g/profile",
+	_, warm := runJob(t, ts.URL+"/v1/graphs/g/profile",
 		map[string]any{"randomizations": randomizations, "seed": seed, "workers": workers})
 	if !field[bool](t, warm, "cached") {
 		t.Fatal("repeat profile not served from cache")
 	}
-	_, count := postJSON(t, ts.URL+"/graphs/g/count",
+	_, count := runJob(t, ts.URL+"/v1/graphs/g/count",
 		map[string]any{"algorithm": "exact", "workers": workers})
 	if !field[bool](t, count, "cached") {
 		t.Fatal("profile did not seed the exact-count cache")
@@ -432,7 +419,7 @@ func TestProfileMatchesLibrary(t *testing.T) {
 func TestDeleteGraph(t *testing.T) {
 	ts, _ := newTestServer(t)
 	loadGraph(t, ts.URL, "g", benchGraph(9))
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/g", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/g", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +431,7 @@ func TestDeleteGraph(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE: HTTP %d, want 200", resp.StatusCode)
 	}
-	resp2, _ := getJSON(t, ts.URL+"/graphs/g/stats")
+	resp2, _ := getJSON(t, ts.URL+"/v1/graphs/g/stats")
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats after delete: HTTP %d, want 404", resp2.StatusCode)
 	}
@@ -453,10 +440,10 @@ func TestDeleteGraph(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	ts, _ := newTestServer(t)
 	loadGraph(t, ts.URL, "g", benchGraph(10))
-	postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "exact"})
-	postJSON(t, ts.URL+"/graphs/g/count", map[string]any{"algorithm": "exact"})
+	runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "exact"})
+	runJob(t, ts.URL+"/v1/graphs/g/count", map[string]any{"algorithm": "exact"})
 
-	resp, body := getJSON(t, ts.URL+"/healthz")
+	resp, body := getJSON(t, ts.URL+"/v1/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP %d", resp.StatusCode)
 	}
@@ -496,9 +483,9 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				idx := (c + i) % len(graphs)
-				resp, body := postJSON(t, ts.URL+fmt.Sprintf("/graphs/g%d/count", idx),
+				resp, body := runJob(t, ts.URL+fmt.Sprintf("/v1/graphs/g%d/count", idx),
 					map[string]any{"algorithm": "exact"})
-				if resp.StatusCode != http.StatusOK {
+				if resp.StatusCode != http.StatusAccepted {
 					t.Errorf("client %d: HTTP %d", c, resp.StatusCode)
 					return
 				}

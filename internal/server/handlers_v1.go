@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -185,7 +186,7 @@ func (s *Server) runCountJob(ctx context.Context, j *job, e *Entry, algo string,
 	}
 	s.jobs.finished.Add(1)
 	j.finish(toCountResult(e.Name, algo, c, cached, time.Since(start)), nil, s.jobs.now())
-	span.SetAttr("cached", boolLabel(cached))
+	span.SetAttr("cached", strconv.FormatBool(cached))
 	span.End()
 }
 
@@ -329,11 +330,4 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, p param
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ params) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.mets.reg.WriteProm(w)
-}
-
-func boolLabel(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

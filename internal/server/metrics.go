@@ -105,7 +105,6 @@ type serverMetrics struct {
 	storeRecSeconds   *obs.Gauge
 
 	unmatched    *obs.Counter
-	requests     *obs.CounterVec
 	responses    *obs.CounterVec
 	httpDuration *obs.HistogramVec
 	traceSpans   *obs.Counter
@@ -200,7 +199,6 @@ func newServerMetrics(withStore bool) *serverMetrics {
 	}
 
 	m.unmatched = r.NewCounter("mochyd_requests_unmatched_total", "Requests that hit no route.")
-	m.requests = r.NewCounterVec("mochyd_requests_total", "Requests dispatched, by route.", "route", "deprecated")
 	m.responses = r.NewCounterVec("mochyd_http_responses_total", "Responses written, by route and status code.", "route", "code")
 	m.httpDuration = r.NewHistogramVec("mochyd_http_request_duration_seconds", "Handler latency by route.", requestDurationBounds, "route")
 	m.traceSpans = r.NewCounter("mochyd_trace_spans_total", "Spans recorded by the flight recorder.")

@@ -257,7 +257,7 @@ func TestMetricsScrapeGrammar(t *testing.T) {
 		"mochyd_store_wal_records_total", "mochyd_store_wal_syncs_total",
 		"mochyd_store_checkpoints_total", "mochyd_store_wal_fsync_seconds",
 		"mochyd_store_checkpoint_seconds",
-		"mochyd_requests_total", "mochyd_requests_unmatched_total",
+		"mochyd_requests_unmatched_total",
 		"mochyd_http_responses_total", "mochyd_http_request_duration_seconds",
 		"mochyd_trace_spans_total",
 	} {

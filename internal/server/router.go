@@ -17,10 +17,9 @@ import (
 // uniform 404/405 treatment — no strings.Split handlers deciding routing
 // case by case. The router is also the observability middleware: every
 // request gets a trace id (inbound X-Mochy-Trace or freshly minted, echoed
-// back on the response), a request span, a per-route request counter, a
-// latency observation, and a status-code-labeled response counter. Legacy
-// unversioned aliases additionally answer with a "Deprecation: true" header
-// plus a "Link" to the /v1 successor.
+// back on the response), a request span, a per-route latency observation
+// (whose count is the route's request count), and a status-code-labeled
+// response counter.
 type router struct {
 	routes    []*route
 	unmatched *obs.Counter // requests that hit no route at all
@@ -29,15 +28,12 @@ type router struct {
 }
 
 type route struct {
-	method     string
-	pattern    string
-	label      string // "METHOD /pattern": route label on metrics and spans
-	segs       []routeSeg
-	handler    func(http.ResponseWriter, *http.Request, params)
-	deprecated bool
-	// count and duration are this route's pre-resolved registry cells, so
-	// the per-request cost is an atomic add, not a label lookup.
-	count    *obs.Counter
+	method  string
+	label   string // "METHOD /pattern": route label on metrics and spans
+	segs    []routeSeg
+	handler func(http.ResponseWriter, *http.Request, params)
+	// duration is this route's pre-resolved histogram cell, so the
+	// per-request cost is an atomic add, not a label lookup.
 	duration *obs.Histogram
 }
 
@@ -60,16 +56,6 @@ func newRouter(m *serverMetrics, tracer *obs.Tracer) *router {
 // handle registers one route. Pattern segments are either literals or
 // "{param}" placeholders; placeholders match any single non-empty segment.
 func (rt *router) handle(m *serverMetrics, method, pattern string, h func(http.ResponseWriter, *http.Request, params)) {
-	rt.add(m, method, pattern, h, false)
-}
-
-// handleDeprecated registers a legacy alias: same dispatch, but responses
-// carry deprecation headers pointing clients at the /v1 successor.
-func (rt *router) handleDeprecated(m *serverMetrics, method, pattern string, h func(http.ResponseWriter, *http.Request, params)) {
-	rt.add(m, method, pattern, h, true)
-}
-
-func (rt *router) add(m *serverMetrics, method, pattern string, h func(http.ResponseWriter, *http.Request, params), deprecated bool) {
 	parts := strings.Split(strings.TrimPrefix(pattern, "/"), "/")
 	segs := make([]routeSeg, len(parts))
 	for i, p := range parts {
@@ -81,15 +67,12 @@ func (rt *router) add(m *serverMetrics, method, pattern string, h func(http.Resp
 	}
 	label := method + " " + pattern
 	rt.routes = append(rt.routes, &route{
-		method:     method,
-		pattern:    pattern,
-		label:      label,
-		segs:       segs,
-		handler:    h,
-		deprecated: deprecated,
-		// Resolving the cells here also makes every route render from the
-		// first scrape with a 0 count, as the pre-registry exposition did.
-		count:    m.requests.With(label, boolLabel(deprecated)),
+		method:  method,
+		label:   label,
+		segs:    segs,
+		handler: h,
+		// Resolving the cell here also makes every route render from the
+		// first scrape with a 0 count.
 		duration: m.httpDuration.With(label),
 	})
 }
@@ -176,11 +159,6 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if rte.method != r.Method {
 			allowed = append(allowed, rte.method)
 			continue
-		}
-		rte.count.Inc()
-		if rte.deprecated {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
 		}
 		// StartID instead of StartSpan: the router already brackets the
 		// handler with its own clock reads for the latency histogram, so

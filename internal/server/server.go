@@ -312,7 +312,7 @@ func (s *Server) Recover() (store.RecoveryStats, error) {
 		if rg.Counts != nil {
 			// The persisted exact count seeds the cache exactly like a
 			// snapshot would: high eviction cost, no expiry.
-			s.cache.PutCost(countKey(e, algoExact, 0, 0, 0), *rg.Counts, 0, snapshotSeedCost)
+			s.cache.PutCost(countKey(e, algoExact, 0, 0), *rg.Counts, 0, snapshotSeedCost)
 		}
 	}
 	for _, rl := range rec.Live {
@@ -323,8 +323,7 @@ func (s *Server) Recover() (store.RecoveryStats, error) {
 	return rec.Stats, nil
 }
 
-// buildRouter assembles the route table: the canonical /v1 surface plus the
-// pre-v1 unversioned routes as deprecated aliases with identical behavior.
+// buildRouter assembles the route table: the /v1 surface.
 func (s *Server) buildRouter() *router {
 	rt := newRouter(s.mets, s.tracer)
 
@@ -362,26 +361,6 @@ func (s *Server) buildRouter() *router {
 	rt.handle(s.mets, http.MethodPost, "/v1/graphs/{name}/snapshot", s.handleSnapshot)
 	rt.handle(s.mets, http.MethodPost, "/v1/streams/{name}", s.handleStreamIngest)
 	rt.handle(s.mets, http.MethodGet, "/v1/streams/{name}", s.handleStreamGet)
-
-	// Legacy unversioned aliases (deprecated): the bootstrap API, kept
-	// byte-compatible. Count and profile stay synchronous here; /v1 moved
-	// them onto the job protocol.
-	rt.handleDeprecated(s.mets, http.MethodGet, "/healthz", s.handleHealthz)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/graphs", s.handleList)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/graphs", s.handleLegacyLoad)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/graphs/{name}", s.handleStats)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/graphs/{name}/stats", s.handleStats)
-	rt.handleDeprecated(s.mets, http.MethodDelete, "/graphs/{name}", s.handleDeleteGraph)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/graphs/{name}/count", s.handleSyncCount)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/graphs/{name}/profile", s.handleSyncProfile)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/graphs/{name}/edges", s.handleInsertEdges)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/graphs/{name}/edges", s.handleListEdges)
-	rt.handleDeprecated(s.mets, http.MethodDelete, "/graphs/{name}/edges/{id}", s.handleDeleteEdge)
-	rt.handleDeprecated(s.mets, http.MethodPatch, "/graphs/{name}", s.handlePatchGraph)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/graphs/{name}/counts", s.handleLiveCounts)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/graphs/{name}/snapshot", s.handleSnapshot)
-	rt.handleDeprecated(s.mets, http.MethodPost, "/streams/{name}", s.handleStreamIngest)
-	rt.handleDeprecated(s.mets, http.MethodGet, "/streams/{name}", s.handleStreamGet)
 
 	return rt
 }
@@ -440,14 +419,15 @@ func (s *Server) clampWorkers(workers int) int {
 	return workers
 }
 
-// countKey encodes everything a count result depends on. Exact counts are
-// worker-independent; sampling estimates are deterministic per (seed,
-// workers) pair, so workers joins the key only for the sampling algorithms.
-func countKey(e *Entry, algo string, samples int, seed int64, workers int) string {
+// countKey encodes everything a count result depends on. No algorithm
+// depends on the worker count: exact counts are worker-independent, and
+// sampling estimates draw each sample block from its own (seed, block) RNG
+// stream, so they are identical at every worker count for one seed.
+func countKey(e *Entry, algo string, samples int, seed int64) string {
 	if algo == algoExact {
 		return fmt.Sprintf("count|%s#%d|%s", e.Name, e.Gen, algo)
 	}
-	return fmt.Sprintf("count|%s#%d|%s|s=%d|seed=%d|w=%d", e.Name, e.Gen, algo, samples, seed, workers)
+	return fmt.Sprintf("count|%s#%d|%s|s=%d|seed=%d", e.Name, e.Gen, algo, samples, seed)
 }
 
 // profileKey encodes everything a characteristic profile depends on.
@@ -650,7 +630,7 @@ func (s *Server) stagedProgress(ctx context.Context, inner func(done, total int)
 // flight observes progress. The second return reports whether the result was
 // served from cache or shared from another caller's flight.
 func (s *Server) countProgress(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int, progress func(done, total int)) (counting.Counts, bool, error) {
-	key := countKey(e, algo, samples, seed, workers)
+	key := countKey(e, algo, samples, seed)
 	if v, ok := s.cache.Get(key); ok {
 		return v.(counting.Counts), true, nil
 	}
@@ -694,11 +674,6 @@ func (s *Server) countProgress(ctx context.Context, e *Entry, algo string, sampl
 	return v.(counting.Counts), shared, nil
 }
 
-// count is countProgress without progress reporting.
-func (s *Server) count(ctx context.Context, e *Entry, algo string, samples int, seed int64, workers int) (counting.Counts, bool, error) {
-	return s.countProgress(ctx, e, algo, samples, seed, workers, nil)
-}
-
 // profile returns the (possibly cached) characteristic profile of e against
 // randomizations Chung-Lu null copies seeded from seed.
 func (s *Server) profile(ctx context.Context, e *Entry, randomizations int, seed int64, workers int) (cp.Profile, bool, error) {
@@ -706,15 +681,16 @@ func (s *Server) profile(ctx context.Context, e *Entry, randomizations int, seed
 	if v, ok := s.cache.Get(key); ok {
 		return v.(cp.Profile), true, nil
 	}
-	// Detached for the same reason as count: the computation is shared with
-	// collapsed waiters and its result is cached, so the leader's client
-	// disconnecting must not cancel it — but server Close must.
+	// Detached for the same reason as countProgress: the computation is
+	// shared with collapsed waiters and its result is cached, so the
+	// leader's client disconnecting must not cancel it — but server Close
+	// must.
 	dctx := obs.InheritTrace(s.baseCtx, ctx)
 	v, err, shared := s.flight.Do(key, func() (any, error) {
 		// The real graph's exact counts go through the count cache, so a
 		// prior exact count query (or a second profile with a different
 		// seed) skips the most expensive half of the job.
-		real, _, err := s.count(dctx, e, algoExact, 0, 0, workers)
+		real, _, err := s.countProgress(dctx, e, algoExact, 0, 0, workers, nil)
 		if err != nil {
 			return nil, err
 		}
