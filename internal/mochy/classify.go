@@ -16,10 +16,14 @@ func classify(g *hypergraph.Hypergraph, i, j, k int32, wij, wjk, wki int32) int 
 	if wij > 0 && wjk > 0 && wki > 0 {
 		abc = g.TripleIntersectionSize(int(i), int(j), int(k))
 	}
-	v := motif.VennFromCardinalities(
-		g.EdgeSize(int(i)), g.EdgeSize(int(j)), g.EdgeSize(int(k)),
-		int(wij), int(wjk), int(wki), abc,
-	)
+	return classifyVenn(g.EdgeSize(int(i)), g.EdgeSize(int(j)), g.EdgeSize(int(k)),
+		int(wij), int(wjk), int(wki), abc)
+}
+
+// classifyVenn returns the h-motif ID of a triple from its three sizes,
+// pairwise overlaps and triple intersection, or 0 for an invalid triple.
+func classifyVenn(si, sj, sk, wij, wjk, wki, abc int) int {
+	v := motif.VennFromCardinalities(si, sj, sk, wij, wjk, wki, abc)
 	return motif.FromPattern(v.Pattern())
 }
 

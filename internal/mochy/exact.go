@@ -2,11 +2,14 @@ package mochy
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mochy/internal/hypergraph"
+	"mochy/internal/motif"
 	"mochy/internal/projection"
 )
 
@@ -31,13 +34,16 @@ type Options struct {
 // mergeFactor gates the merge-style intersection in the pair loop: when the
 // shared neighbor e_j has degree below mergeFactor × the remaining anchor
 // neighborhood, one merge walk over N(e_j) (cost deg(j) + rest) beats a
-// binary search per pair (cost rest × log deg(j)).
+// binary search per pair (cost rest × log deg(j)). On the 2048-edge skewed
+// BenchmarkPerEdgeCountsParallel graph (2 cores) dropping the walk made
+// every cell 1.6-1.9x slower, so it stays (BENCH_kernel.json).
 const mergeFactor = 8
 
-// kern bundles a counting run's inputs with the optional projector
-// capabilities the kernel exploits when present: cheapest-side overlap
-// probing and O(1) degrees (which also make Neighbors slices stable, the
-// precondition for holding N(e_j) across a merge walk).
+// kern bundles a pair-enumerating run's inputs (Enumerate,
+// PerEdgeCountsParallel) with the optional projector capabilities the pair
+// loop exploits when present: cheapest-side overlap probing and O(1) degrees
+// (which also make Neighbors slices stable, the precondition for holding
+// N(e_j) across a merge walk).
 type kern struct {
 	g   *hypergraph.Hypergraph
 	p   projection.Projector
@@ -118,29 +124,52 @@ func (k *kern) anchorPairs(i int32, buf []projection.Neighbor, visit func(i, j, 
 	return ns
 }
 
-// CountExact runs MoCHy-E (Algorithm 2): for every hyperedge e_i and every
-// unordered pair {e_j, e_k} of its projected-graph neighbors, the instance
-// {e_i, e_j, e_k} is counted once — immediately if e_j and e_k are disjoint
-// (open motifs, counted at their center), and only from the smallest-ID
-// member if they overlap (closed motifs). workers ≥ 1 selects the number of
-// goroutines. See CountExactOpts for the scheduling model.
+// PanicError is the error CountExactOpts returns when one of its worker
+// goroutines panicked: the run stops instead of the process, and the panic
+// value and the worker's stack travel to the caller.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("mochy: kernel worker panic: %v", e.Value)
+}
+
+// CountExact runs MoCHy-E (Algorithm 2): every instance {e_i, e_j, e_k} is
+// counted once, open ones at their center and closed ones once per triangle
+// of the projected graph. workers ≥ 1 selects the number of goroutines. See
+// CountExactOpts for how the count is split and scheduled.
 func CountExact(g *hypergraph.Hypergraph, p projection.Projector, workers int) Counts {
 	c, _, _ := CountExactOpts(context.Background(), g, p, Options{Workers: workers})
 	return c
 }
 
-// CountExactOpts is the full-control MoCHy-E entry point. Anchor hyperedges
-// are handed to workers through an atomic chunk cursor over ranges sized by
-// estimated pair work (C(deg, 2) prefix sums when the projector reports
-// degrees), so a worker that lands on a projected-graph hub does not serialize
-// the run the way a static stride partition would. Counts accumulate in
-// per-worker vectors merged once at the end; results are identical for every
-// worker count.
+// CountExactOpts is the full-control MoCHy-E entry point. Rather than
+// classifying every neighbor pair of every anchor, it counts open instances
+// by formula and enumerates only the closed ones (see triangles.go):
+//
+//   - per anchor, every neighbor pair is tallied into the open motif its
+//     three exclusive-region bits name, from an overlap histogram in
+//     O(d + |e_i|);
+//   - each projected-graph triangle is enumerated once, from its
+//     lowest-ranked member — rank (degree, id) over a flat oriented CSR built
+//     during setup when the projector reports degrees, id otherwise — then
+//     classified with a node-stamp triple intersection, and the open pair
+//     the formula counted at each of its members is taken back.
+//
+// Anchors are handed to workers through an atomic chunk cursor over ranges
+// sized by anchorCost when the oriented CSR exists, uniform otherwise.
+// Counts accumulate in per-worker vectors merged once at the end; results
+// are identical for every worker count and projector.
 //
 // If ctx is cancelled the run stops at the next anchor boundary on every
-// worker and returns the cancellation cause; the returned Counts are
-// meaningless in that case. The returned KernelStats describe the run's
-// scheduling and phase timings whether or not it completed.
+// worker and returns the cancellation cause; if a worker panics the run
+// stops the same way and returns a *PanicError carrying the panic and its
+// stack.
+// The returned Counts are meaningless in both cases. The returned
+// KernelStats describe the run's scheduling, phase timings and work split
+// whether or not it completed.
 func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.Projector, opts Options) (Counts, KernelStats, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -150,8 +179,8 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 	stats := KernelStats{Workers: workers}
 
 	setupStart := time.Now()
-	sched := newChunkSched(p, n, workers)
-	k := newKern(g, p)
+	k := newExactKern(g, p)
+	sched := k.sched(workers)
 	stats.Chunks = sched.numChunks()
 	stats.CostAware = sched.costAware
 	stats.Setup = time.Since(setupStart)
@@ -161,21 +190,29 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 		doneCh = ctx.Done()
 	}
 
-	results := make([]Counts, workers)
+	results := make([]*exactWorker, workers)
 	grabs := make([]int64, workers)
 	busy := make([]time.Duration, workers)
 	var reported atomic.Int64
+	var halt atomic.Bool
+	var panicOnce sync.Once
+	var panicErr *PanicError
 	enumStart := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicErr = &PanicError{Value: r, Stack: debug.Stack()} })
+					halt.Store(true)
+				}
+			}()
 			start := time.Now()
 			defer func() { busy[w] = time.Since(start) }()
-			local := &results[w]
-			visit := func(_, _, _ int32, id int) { local[id-1]++ }
-			var ns []projection.Neighbor
+			ew := newExactWorker(k)
+			results[w] = ew
 			sinceReport := 0
 			for {
 				c := sched.next()
@@ -185,6 +222,9 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 				grabs[w]++
 				lo, hi := sched.chunk(c)
 				for i := lo; i < hi; i++ {
+					if halt.Load() {
+						return
+					}
 					if doneCh != nil {
 						select {
 						case <-doneCh:
@@ -192,7 +232,7 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 						default:
 						}
 					}
-					ns = k.anchorPairs(i, ns, visit)
+					ew.anchor(i)
 					if opts.Progress != nil {
 						if sinceReport++; sinceReport == progressStride {
 							opts.Progress(int(reported.Add(int64(sinceReport))), n)
@@ -206,13 +246,26 @@ func CountExactOpts(ctx context.Context, g *hypergraph.Hypergraph, p projection.
 	wg.Wait()
 	stats.Enumerate = time.Since(enumStart)
 	stats.Steals, stats.Imbalance = sched.balance(grabs, busy)
+	if panicErr != nil {
+		return Counts{}, stats, panicErr
+	}
 	if ctx != nil && ctx.Err() != nil {
 		return Counts{}, stats, context.Cause(ctx)
 	}
 	mergeStart := time.Now()
+	var sum [motif.Count]int64
+	var pairs int64
+	for _, ew := range results {
+		for t, v := range ew.counts {
+			sum[t] += v
+		}
+		pairs += ew.pairs
+		stats.Triangles += ew.triangles
+	}
+	stats.FormulaPairs = pairs - 3*stats.Triangles
 	var total Counts
-	for w := range results {
-		total.add(&results[w])
+	for t, v := range sum {
+		total[t] = float64(v)
 	}
 	stats.Merge = time.Since(mergeStart)
 	if opts.Progress != nil {

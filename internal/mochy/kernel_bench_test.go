@@ -2,11 +2,11 @@ package mochy
 
 // Kernel benchmarks behind BENCH_kernel.json: CountExact and
 // PerEdgeCountsParallel on a uniform-membership and a power-law (skewed)
-// hypergraph. Run with -cpu 1,2,4,8 so each -cpu point sets GOMAXPROCS and
-// the exact kernel uses one worker per scheduler thread:
+// hypergraph. Each -cpu point sets GOMAXPROCS and the exact kernel uses one
+// worker per scheduler thread:
 //
 //	go test -run '^$' -bench 'CountExactParallel|PerEdgeCountsParallel' \
-//	    -benchtime 2s -cpu 1,2,4,8 ./internal/mochy
+//	    -cpu 1,2 -count 6 ./internal/mochy
 //
 // The skewed graph concentrates node membership zipf-style, so a handful of
 // hub hyperedges own most of the projected graph's adjacency — the shape

@@ -8,11 +8,11 @@ package mochy
 // projected degree, so one hub hyperedge pins one worker for most of the run
 // while the others drain their cheap strides and idle. The chunkSched here
 // replaces the stride with an atomic chunk cursor: anchors are pre-cut into
-// contiguous ranges of roughly equal *estimated pair work* (prefix sums of
-// C(deg, 2) when the projector can report degrees in O(1)), and workers grab
-// the next range whenever they finish one. Hub-heavy chunks shrink to a few
-// anchors, so the tail of the run stops tracking the single hottest
-// hyperedge.
+// contiguous ranges of roughly equal *estimated work* (prefix sums of a
+// per-anchor cost when the projector can report degrees in O(1)), and
+// workers grab the next range whenever they finish one. Hub-heavy chunks
+// shrink to a few anchors, so the tail of the run stops tracking the single
+// hottest hyperedge.
 
 import (
 	"sync/atomic"
@@ -28,10 +28,10 @@ import (
 const chunksPerWorker = 16
 
 // degreeProjector is the optional projector capability the cost-aware
-// scheduler and the cheapest-side pair ordering key off. Projected implements
-// it in O(1); the memoized projector deliberately does not (computing a
-// degree there costs a full neighborhood), so it falls back to uniform
-// chunks.
+// scheduler, the exact kernel's (degree, id) triangle ordering and the
+// cheapest-side pair ordering key off. Projected implements it in O(1); the
+// memoized projector deliberately does not (computing a degree there costs a
+// full neighborhood), so it falls back to id order and uniform chunks.
 type degreeProjector interface {
 	Degree(e int32) int
 }
@@ -42,10 +42,10 @@ type orientedProjector interface {
 	OverlapOriented(i, j int32) int32
 }
 
-// anchorCost estimates the pair work anchored at a hyperedge of projected
-// degree d: the C(d, 2) candidate pairs, plus one unit so empty anchors
-// still advance chunk boundaries.
-func anchorCost(d int) int64 {
+// pairCost estimates the work a pair-enumerating kernel (PerEdgeCountsParallel)
+// does at an anchor of projected degree d: the C(d, 2) candidate pairs, plus
+// one unit so empty anchors still advance chunk boundaries.
+func pairCost(d int) int64 {
 	return int64(d)*int64(d-1)/2 + 1
 }
 
@@ -57,8 +57,9 @@ type KernelStats struct {
 	Workers int
 	// Chunks is how many anchor ranges the chunk cursor handed out.
 	Chunks int
-	// CostAware reports whether chunk boundaries were sized from projected
-	// degrees (prefix sums of C(deg, 2)) rather than uniform anchor counts.
+	// CostAware reports whether chunk boundaries were sized from per-anchor
+	// work estimates (anchorCost for CountExactOpts) rather than uniform
+	// anchor counts.
 	CostAware bool
 	// Steals counts chunks a worker grabbed beyond its static fair share
 	// ceil(Chunks/Workers) — how much work the cursor redistributed relative
@@ -75,6 +76,13 @@ type KernelStats struct {
 	Setup     time.Duration
 	Enumerate time.Duration
 	Merge     time.Duration
+	// Triangles is how many projected-graph triangles (closed triples) the
+	// exact count enumerated and classified individually.
+	Triangles int64
+	// FormulaPairs is how many open anchor pairs the exact count tallied by
+	// formula instead of visiting them: every neighbor pair of every anchor
+	// minus the three phantom pairs each triangle leaves behind.
+	FormulaPairs int64
 }
 
 // chunkSched hands out contiguous anchor ranges through an atomic cursor.
@@ -85,12 +93,22 @@ type chunkSched struct {
 	costAware bool
 }
 
-// newChunkSched cuts the anchor space [0, n) into roughly cost-equal chunks
-// for the given worker count. With a degree-reporting projector the cut
-// points come from prefix sums of per-anchor pair-work estimates; otherwise
-// chunks hold equal anchor counts (still dynamic — grabbing stays adaptive
-// even when sizing cannot be).
+// newChunkSched cuts the anchor space [0, n) for a pair-enumerating kernel:
+// chunk boundaries follow pairCost when the projector reports O(1) degrees,
+// and hold equal anchor counts otherwise.
 func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
+	var cost func(int32) int64
+	if dp, ok := p.(degreeProjector); ok {
+		cost = func(i int32) int64 { return pairCost(dp.Degree(i)) }
+	}
+	return cutChunks(n, workers, cost)
+}
+
+// cutChunks cuts the anchor space [0, n) into roughly cost-equal chunks for
+// the given worker count. With a cost estimate the cut points come from its
+// prefix sums; with a nil cost chunks hold equal anchor counts (still
+// dynamic — grabbing stays adaptive even when sizing cannot be).
+func cutChunks(n, workers int, cost func(int32) int64) *chunkSched {
 	s := &chunkSched{}
 	if n <= 0 {
 		s.bounds = []int32{0}
@@ -103,8 +121,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	if workers <= 1 {
 		target = 1
 	}
-	dp, ok := p.(degreeProjector)
-	if !ok || target == 1 {
+	if cost == nil || target == 1 {
 		// Uniform anchor ranges: ceil(n/target) anchors per chunk.
 		per := (n + target - 1) / target
 		for lo := 0; lo < n; lo += per {
@@ -116,7 +133,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s.costAware = true
 	var total int64
 	for i := 0; i < n; i++ {
-		total += anchorCost(dp.Degree(int32(i)))
+		total += cost(int32(i))
 	}
 	perChunk := total / int64(target)
 	if perChunk < 1 {
@@ -125,7 +142,7 @@ func newChunkSched(p projection.Projector, n, workers int) *chunkSched {
 	s.bounds = append(s.bounds, 0)
 	var acc int64
 	for i := 0; i < n; i++ {
-		acc += anchorCost(dp.Degree(int32(i)))
+		acc += cost(int32(i))
 		if acc >= perChunk && i+1 < n {
 			s.bounds = append(s.bounds, int32(i+1))
 			acc = 0

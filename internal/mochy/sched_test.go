@@ -111,6 +111,13 @@ func TestCountExactOptsStats(t *testing.T) {
 	if stats.Steals < 0 {
 		t.Fatalf("stats.Steals = %d, want >= 0", stats.Steals)
 	}
+	closed, open := bruteForceSplit(g)
+	if stats.Triangles != closed || stats.FormulaPairs != open {
+		t.Fatalf("stats.Triangles = %d, FormulaPairs = %d, want %d and %d", stats.Triangles, stats.FormulaPairs, closed, open)
+	}
+	if closed == 0 || open == 0 {
+		t.Fatalf("test graph has %d closed and %d open triples; need both", closed, open)
+	}
 	// The memoized projector has no O(1) degrees: uniform chunks, dynamic
 	// grabbing still on.
 	m := projection.NewMemoized(g, 1<<16, projection.PolicyDegree)

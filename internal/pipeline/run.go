@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -14,6 +15,19 @@ import (
 	"mochy/internal/obs"
 	"mochy/internal/projection"
 )
+
+// PanicError is the run error when a stage goroutine panicked: Run recovers
+// the panic so one faulty stage fails its run instead of the process, and
+// keeps the stack for the caller to log.
+type PanicError struct {
+	Stage string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("internal error: stage %q panicked: %v", e.Stage, e.Value)
+}
 
 // Pool admits stage compute into the server's bounded job pool. Stages
 // acquire a slot only around their compute (never across event emission), so
@@ -156,6 +170,11 @@ func Run(ctx context.Context, env *Env, plan *Plan) (api.PipelineResult, error) 
 		wg.Add(1)
 		go func(i int, st *Stage) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					fail(&PanicError{Stage: st.ID, Value: r, Stack: debug.Stack()})
+				}
+			}()
 			for _, dep := range st.After {
 				select {
 				case <-done[index[dep]]:

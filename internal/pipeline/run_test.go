@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -260,6 +261,23 @@ func TestRunStageFailureNamesStage(t *testing.T) {
 	}
 	if len(res.Stages) != 1 || res.Stages[0].ID != "count" {
 		t.Fatalf("partial result = %+v, want just the completed count stage", res.Stages)
+	}
+}
+
+// TestRunStagePanicFailsRun asserts a panicking stage fails the run with a
+// PanicError naming the stage instead of crashing the process.
+func TestRunStagePanicFailsRun(t *testing.T) {
+	env, _ := testEnv(testGraph(t), nil)
+	env.Count = func(context.Context, string, int, int64, int, func(done, total int)) (counting.Counts, bool, error) {
+		panic("injected stage fault")
+	}
+	_, err := Run(context.Background(), env, mustParse(t, stage("count", "count", "")))
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Stage != "count" || len(pe.Stack) == 0 {
+		t.Fatalf("Run error = %v, want a PanicError for stage count with its stack", err)
+	}
+	if !strings.Contains(err.Error(), "injected stage fault") {
+		t.Fatalf("error %q does not carry the panic value", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"time"
 )
@@ -415,11 +416,20 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 	s.calls[key] = call
 	s.mu.Unlock()
 
+	// If fn panics, waiters get an error and the key is released before the
+	// panic travels on to the caller's job guard; otherwise every later
+	// caller for the key would block forever.
+	panicked := true
+	defer func() {
+		if panicked {
+			call.val, call.err = nil, errors.New("internal error: shared computation panicked")
+		}
+		call.wg.Done()
+		s.mu.Lock()
+		delete(s.calls, key)
+		s.mu.Unlock()
+	}()
 	call.val, call.err = fn()
-	call.wg.Done()
-
-	s.mu.Lock()
-	delete(s.calls, key)
-	s.mu.Unlock()
+	panicked = false
 	return call.val, call.err, false
 }

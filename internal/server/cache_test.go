@@ -172,6 +172,45 @@ func TestFlightGroupCollapsesConcurrentCalls(t *testing.T) {
 	}
 }
 
+// TestFlightGroupPanicReleasesKey: a panicking computation re-panics in its
+// own caller, hands a collapsed waiter an error instead of blocking it, and
+// frees the key for the next caller.
+func TestFlightGroupPanicReleasesKey(t *testing.T) {
+	g := newFlightGroup()
+	gate, started := make(chan struct{}), make(chan struct{})
+	leader := make(chan any)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.Do("k", func() (any, error) {
+			close(started)
+			<-gate
+			panic("injected fault")
+		})
+	}()
+	<-started
+	waiter := make(chan error)
+	go func() {
+		_, err, shared := g.Do("k", func() (any, error) { return 1, nil })
+		if !shared {
+			err = nil // arrived after the leader finished: ran its own call
+		} else if err == nil {
+			err = fmt.Errorf("collapsed waiter got no error")
+		}
+		waiter <- err
+	}()
+	close(gate)
+	if r := <-leader; r == nil {
+		t.Fatal("the leader's panic was swallowed")
+	}
+	if err := <-waiter; err != nil && !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("waiter: %v", err)
+	}
+	v, err, shared := g.Do("k", func() (any, error) { return 7, nil })
+	if v != 7 || err != nil || shared {
+		t.Fatalf("Do after a panic = %v, %v, shared %v; want 7, nil, false", v, err, shared)
+	}
+}
+
 func TestCacheTTL(t *testing.T) {
 	c := NewCache(8)
 	now := time.Unix(1000, 0)

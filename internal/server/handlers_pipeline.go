@@ -49,15 +49,17 @@ func (s *Server) handleStartPipeline(w http.ResponseWriter, r *http.Request, p p
 // stage_start / progress / stage_done events through the job, and the job
 // finishes with the full PipelineResult or the first failing stage's error.
 func (s *Server) runPipelineJob(ctx context.Context, j *job, e *Entry, plan *pipeline.Plan) {
+	defer s.guardJob(ctx, j)
 	start := time.Now()
 	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
 	ctx, span := s.tracer.StartSpan(ctx, "job.pipeline")
 	span.SetAttr("job", j.id)
 	span.SetAttr("graph", e.Name)
 	span.SetAttr("stages", strconv.Itoa(len(plan.Stages)))
-	j.setRunning(s.jobs.now())
+	s.startJob(j)
 	res, err := pipeline.Run(ctx, s.pipelineEnv(e, j), plan)
 	if err != nil {
+		s.notePanic(ctx, j, err)
 		s.jobs.failed.Add(1)
 		j.finish(nil, err, s.jobs.now())
 		span.SetAttr("error", err.Error())

@@ -164,19 +164,21 @@ func (s *Server) handleStartCount(w http.ResponseWriter, r *http.Request, p para
 // progress events for exact counts and finishing the job with a CountResult
 // or an error.
 func (s *Server) runCountJob(ctx context.Context, j *job, e *Entry, algo string, samples int, seed int64, workers int) {
+	defer s.guardJob(ctx, j)
 	start := time.Now()
 	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
 	ctx, span := s.tracer.StartSpan(ctx, "job.count")
 	span.SetAttr("job", j.id)
 	span.SetAttr("graph", e.Name)
 	span.SetAttr("algorithm", algo)
-	j.setRunning(s.jobs.now())
+	s.startJob(j)
 	var progress func(done, total int)
 	if algo == algoExact {
 		progress = throttledProgress(e.Graph.NumEdges(), j.progress)
 	}
 	c, cached, err := s.countProgress(ctx, e, algo, samples, seed, workers, progress)
 	if err != nil {
+		s.notePanic(ctx, j, err)
 		s.jobs.failed.Add(1)
 		j.finish(nil, err, s.jobs.now())
 		span.SetAttr("error", err.Error())
@@ -221,14 +223,16 @@ func (s *Server) handleStartProfile(w http.ResponseWriter, r *http.Request, p pa
 
 // runProfileJob executes one asynchronous characteristic profile.
 func (s *Server) runProfileJob(ctx context.Context, j *job, e *Entry, randomizations int, seed int64, workers int) {
+	defer s.guardJob(ctx, j)
 	start := time.Now()
 	defer func() { s.jobs.observe(j.kind, time.Since(start)) }()
 	ctx, span := s.tracer.StartSpan(ctx, "job.profile")
 	span.SetAttr("job", j.id)
 	span.SetAttr("graph", e.Name)
-	j.setRunning(s.jobs.now())
+	s.startJob(j)
 	prof, cached, err := s.profile(ctx, e, randomizations, seed, workers)
 	if err != nil {
+		s.notePanic(ctx, j, err)
 		s.jobs.failed.Add(1)
 		j.finish(nil, err, s.jobs.now())
 		span.SetAttr("error", err.Error())

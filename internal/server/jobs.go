@@ -1,15 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mochy/api"
+	counting "mochy/internal/mochy"
 	"mochy/internal/obs"
+	"mochy/internal/pipeline"
 	"mochy/internal/shardmap"
 )
 
@@ -165,6 +170,54 @@ func (j *job) unsubscribe(ch chan api.JobEvent) {
 	j.mu.Lock()
 	delete(j.subs, ch)
 	j.mu.Unlock()
+}
+
+// startJob marks j running; every job goroutine calls it first thing after
+// deferring guardJob.
+func (s *Server) startJob(j *job) {
+	j.setRunning(s.jobs.now())
+	if s.jobHook != nil {
+		s.jobHook(j.kind)
+	}
+}
+
+// guardJob is deferred at the top of every job goroutine. A panic anywhere in
+// the job's own goroutine fails it with an internal error and counts it in
+// mochyd_job_panics_total, instead of killing the daemon with every other
+// job and graph in it. Panics in the goroutines a job starts (kernel
+// workers, pipeline stages) come back as errors instead; see notePanic.
+func (s *Server) guardJob(ctx context.Context, j *job) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.mets.jobPanics.Inc()
+	s.logger.ErrorContext(ctx, "job panicked", "job", j.id, "kind", j.kind, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+	select {
+	case <-j.doneCh:
+		return // the panic came after the job had already finished
+	default:
+	}
+	s.jobs.failed.Add(1)
+	j.finish(nil, fmt.Errorf("internal error: %s job panicked: %v", j.kind, r), s.jobs.now())
+}
+
+// notePanic counts and logs a panic that a kernel worker or a pipeline stage
+// recovered and handed back inside a job's error.
+func (s *Server) notePanic(ctx context.Context, j *job, err error) {
+	var stack []byte
+	var kp *counting.PanicError
+	var sp *pipeline.PanicError
+	switch {
+	case errors.As(err, &kp):
+		stack = kp.Stack
+	case errors.As(err, &sp):
+		stack = sp.Stack
+	default:
+		return
+	}
+	s.mets.jobPanics.Inc()
+	s.logger.ErrorContext(ctx, "job panicked", "job", j.id, "kind", j.kind, "error", err.Error(), "stack", string(stack))
 }
 
 // jobStore issues job IDs and retains finished jobs for a bounded window.

@@ -84,6 +84,13 @@ type serverMetrics struct {
 	kernelSteals    *obs.Counter
 	kernelImbalance *obs.Gauge
 	kernelSched     *obs.HistogramVec
+	// How exact counts split their work: triangles enumerated and
+	// classified one by one, open pairs tallied by formula.
+	kernelTriangles    *obs.Counter
+	kernelFormulaPairs *obs.Counter
+	// jobPanics counts job goroutines that panicked and were failed
+	// instead of taking the daemon down.
+	jobPanics *obs.Counter
 
 	storeEnabled *obs.Gauge
 	// The store families below are registered only when persistence is
@@ -167,6 +174,9 @@ func newServerMetrics(withStore bool) *serverMetrics {
 	for _, phase := range []string{"setup", "enumerate", "merge"} {
 		m.kernelSched.With(phase)
 	}
+	m.kernelTriangles = r.NewCounter("mochyd_kernel_triangles_total", "Projected-graph triangles (closed triples) exact-count kernel runs enumerated and classified.")
+	m.kernelFormulaPairs = r.NewCounter("mochyd_kernel_formula_pairs_total", "Open anchor pairs exact-count kernel runs tallied by formula without visiting them.")
+	m.jobPanics = r.NewCounter("mochyd_job_panics_total", "Job goroutines that panicked; each failed its job with an internal error.")
 	m.pipelineStage = r.NewHistogramVec("mochyd_pipeline_stage_duration_seconds", "Wall-clock pipeline stage duration by stage kind.", jobDurationBounds, "stage")
 	for _, kind := range []string{api.StageCount, api.StageNullModel, api.StageRank, api.StageAnomaly, api.StageCluster, api.StageTemporal, api.StageProfile} {
 		m.pipelineStage.With(kind)

@@ -260,6 +260,8 @@ func TestMetricsScrapeGrammar(t *testing.T) {
 		"mochyd_requests_unmatched_total",
 		"mochyd_http_responses_total", "mochyd_http_request_duration_seconds",
 		"mochyd_trace_spans_total",
+		"mochyd_kernel_triangles_total", "mochyd_kernel_formula_pairs_total",
+		"mochyd_job_panics_total",
 	} {
 		if _, ok := types[fam]; !ok {
 			t.Errorf("exposition missing family %q", fam)
@@ -275,6 +277,13 @@ func TestMetricsScrapeGrammar(t *testing.T) {
 	for _, want := range wantSeries {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The exact count split its work between enumerated triangles and
+	// formula-counted open pairs; both counters moved.
+	for _, s := range samples {
+		if (s.name == "mochyd_kernel_triangles_total" || s.name == "mochyd_kernel_formula_pairs_total") && s.value <= 0 {
+			t.Errorf("kernel work counter did not move after an exact count: %s", s.line)
 		}
 	}
 	if !strings.Contains(body, `mochyd_http_responses_total{route="GET /v1/graphs/{name}/stats",code="404"} 1`) {

@@ -140,6 +140,9 @@ type Server struct {
 	// bg tracks the background goroutines Close must wait for: the cache
 	// sweeper and in-flight automatic checkpoints.
 	bg sync.WaitGroup
+	// jobHook, when set by tests, runs in every job goroutine as the job
+	// starts running (a panic there exercises the job guard).
+	jobHook func(kind string)
 }
 
 // New returns a Server with the given configuration.
@@ -576,6 +579,8 @@ func (s *Server) recordKernelStats(ctx context.Context, stats counting.KernelSta
 		s.mets.kernelSteals.Add(uint64(stats.Steals))
 	}
 	s.mets.kernelImbalance.Set(stats.Imbalance)
+	s.mets.kernelTriangles.Add(uint64(stats.Triangles))
+	s.mets.kernelFormulaPairs.Add(uint64(stats.FormulaPairs))
 	s.mets.kernelSched.With("setup").Observe(stats.Setup.Seconds())
 	s.mets.kernelSched.With("enumerate").Observe(stats.Enumerate.Seconds())
 	s.mets.kernelSched.With("merge").Observe(stats.Merge.Seconds())
@@ -587,7 +592,9 @@ func (s *Server) recordKernelStats(ctx context.Context, stats counting.KernelSta
 	s.tracer.RecordSpan(ctx, "kernel.enumerate", setupEnd, enumEnd,
 		obs.Attr{Key: "workers", Value: strconv.Itoa(stats.Workers)},
 		obs.Attr{Key: "steals", Value: strconv.FormatInt(stats.Steals, 10)},
-		obs.Attr{Key: "imbalance", Value: strconv.FormatFloat(stats.Imbalance, 'f', 3, 64)})
+		obs.Attr{Key: "imbalance", Value: strconv.FormatFloat(stats.Imbalance, 'f', 3, 64)},
+		obs.Attr{Key: "triangles", Value: strconv.FormatInt(stats.Triangles, 10)},
+		obs.Attr{Key: "formula_pairs", Value: strconv.FormatInt(stats.FormulaPairs, 10)})
 	s.tracer.RecordSpan(ctx, "kernel.merge", enumEnd, enumEnd.Add(stats.Merge))
 }
 

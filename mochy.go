@@ -113,7 +113,8 @@ type CountOptions = counting.Options
 
 // KernelStats reports how a parallel counting run scheduled and balanced its
 // work: worker and chunk counts, chunks redistributed beyond the static fair
-// share, busy-time imbalance, and per-phase durations.
+// share, busy-time imbalance, per-phase durations, and how an exact count
+// split its work between enumerated triangles and formula-counted open pairs.
 type KernelStats = counting.KernelStats
 
 // CountExact runs MoCHy-E (Algorithm 2) with the given worker count.
@@ -121,11 +122,13 @@ func CountExact(g *Hypergraph, p Projector, workers int) Counts {
 	return counting.CountExact(g, p, workers)
 }
 
-// CountExactOpts is the full-control MoCHy-E entry point: anchor hyperedges
-// are scheduled through a cost-aware atomic chunk cursor, ctx cancellation
-// stops the run at the next anchor boundary, and the returned KernelStats
-// describe how the run balanced. Results are identical to CountExact for
-// every worker count.
+// CountExactOpts is the full-control MoCHy-E entry point: open instances
+// are counted by formula per anchor and only projected-graph triangles are
+// enumerated; anchor hyperedges are scheduled through a cost-aware atomic
+// chunk cursor; ctx cancellation or a worker panic stops the run at the next
+// anchor boundary with an error; and the returned KernelStats describe how
+// the run balanced and split its work. Results are identical to CountExact
+// for every worker count.
 func CountExactOpts(ctx context.Context, g *Hypergraph, p Projector, opts CountOptions) (Counts, KernelStats, error) {
 	return counting.CountExactOpts(ctx, g, p, opts)
 }
